@@ -28,7 +28,7 @@ from .partitions import (
     rim_hook_removals,
     strip_to_core,
 )
-from .qseries import Series, partition_count_series, poch_product, pochhammer_inf, theta_jtp
+from .qseries import Series, partition_count_series, poch_product, theta_jtp
 from .rings import CYC5, INT, Cyclotomic5, Laurent, LaurentRing, fourth_root_ring
 from .stats import (
     STATISTICS,

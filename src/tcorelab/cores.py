@@ -21,7 +21,6 @@ form Q(alpha) then gives the core weight as 5*Q(alpha) - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -154,7 +153,10 @@ def _partition_from_colors(
             contents.append(q * t + i)
             q -= 1
     contents.sort(reverse=True)
-    assert len(contents) == -floor - 1, "bead bookkeeping out of balance"
+    if len(contents) != -floor - 1:
+        raise ValueError(
+            f"bead bookkeeping out of balance for t={t}, charges {tuple(charges)}"
+        )
     parts = []
     for x, b in enumerate(contents, start=1):
         lam = b + x
@@ -197,11 +199,6 @@ def quotient_profile(p: Partition, t: int) -> tuple[tuple[int, ...], tuple[int, 
     return charges, tuple(bp[0] if bp else 0 for bp in bead_parts)
 
 
-def quotient_part_counts(p: Partition, t: int) -> tuple[int, ...]:
-    """Number of parts of each quotient component, without building the core."""
-    return quotient_profile(p, t)[1]
-
-
 def phi2(core: Partition, t: int) -> tuple[int, ...]:
     """n-vector of a t-core: consecutive residue-count differences."""
     if t < 2:
@@ -224,9 +221,12 @@ def phi2_inv(nvec: Sequence[int]) -> Partition:
 
 def core_weight_from_vector(nvec: Sequence[int]) -> int:
     """Weight of the t-core with this n-vector: (t/2)||n||^2 + (0,1,..,t-1).n"""
+    if sum(nvec) != 0:
+        raise ValueError(f"n-vector must sum to zero, got {tuple(nvec)}")
     t = len(nvec)
     twice = t * sum(x * x for x in nvec) + 2 * sum(i * x for i, x in enumerate(nvec))
-    assert twice % 2 == 0 and twice >= 0
+    if twice % 2 or twice < 0:
+        raise ValueError(f"n-vector {tuple(nvec)} gives no core weight")
     return twice // 2
 
 
@@ -345,20 +345,11 @@ def iter_core_vectors(t: int, max_weight: int) -> Iterator[tuple[tuple[int, ...]
     yield from rec(0, 0, 0)
 
 
-@lru_cache(maxsize=None)
-def _core_weight_counts(t: int, limit: int) -> tuple[int, ...]:
-    counts = [0] * (limit + 1)
-    for _, w in iter_core_vectors(t, limit):
-        counts[w] += 1
-    return tuple(counts)
-
-
 def count_t_cores(n: int, t: int) -> int:
     """Number of t-cores of weight n, by n-vector enumeration."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    limit = ((n // 128) + 1) * 128
-    return _core_weight_counts(t, limit)[n]
+    return sum(1 for _, w in iter_core_vectors(t, n) if w == n)
 
 
 def count_t_cores_by_filter(n: int, t: int) -> int:

@@ -146,13 +146,18 @@ class Series:
             raise ValueError("sift leaves no coefficients below the order")
         return Series(self.ring, len(picked), picked)
 
-    def eq_upto(self, other: "Series", n: int | None = None) -> bool:
+    def first_difference(self, other: "Series", n: int | None = None) -> int | None:
+        """Lowest q-power below n (default: both truncations) where the
+        coefficients differ, or None when they agree."""
         limit = min(self.order, other.order)
         if n is not None:
             if n > limit:
                 raise ValueError(f"comparison order {n} beyond truncation {limit}")
             limit = n
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(limit))
+        return next((k for k in range(limit) if self.coeffs[k] != other.coeffs[k]), None)
+
+    def eq_upto(self, other: "Series", n: int | None = None) -> bool:
+        return self.first_difference(other, n) is None
 
     def is_zero_upto(self, n: int | None = None) -> bool:
         limit = self.order if n is None else min(n, self.order)
@@ -165,32 +170,13 @@ class Series:
         return f"Series[{self.ring.name}, O(q^{self.order})]({shown}{tail})"
 
 
-def pochhammer_inf(ring, elem, q_power: int, step: int, exponent: int, order: int) -> Series:
-    """(a; q**step)_infinity ** exponent truncated, with a = elem * q**q_power.
-
-    Negative exponents need q_power >= 1 so every factor is invertible.
-    """
-    if step < 1:
-        raise ValueError("step must be positive")
-    if exponent < 0 and q_power < 1:
-        raise ValueError("non-invertible leading factor")
-    s = Series.one(ring, order)
-    if exponent == 0:
-        return s
-    d = q_power
-    while d < order:
-        if exponent > 0:
-            for _ in range(exponent):
-                s = s.mul_one_minus(elem, d)
-        else:
-            for _ in range(-exponent):
-                s = s.div_one_minus(elem, d)
-        d += step
-    return s
-
-
 def poch_product(ring, order: int, factors: Iterable[tuple[object, int, int, int]]) -> Series:
-    """Product of pochhammer symbols given as (elem, q_power, step, exponent)."""
+    """Product of pochhammer symbols given as (elem, q_power, step, exponent).
+
+    Each factor is (a; q**step)_infinity ** exponent truncated, with
+    a = elem * q**q_power.  Negative exponents need q_power >= 1 so every
+    factor is invertible.
+    """
     s = Series.one(ring, order)
     for elem, q_power, step, exponent in factors:
         if step < 1:
@@ -211,7 +197,7 @@ def poch_product(ring, order: int, factors: Iterable[tuple[object, int, int, int
 
 def partition_count_series(order: int) -> Series:
     """1/(q;q)_infinity: the generating function of p(n)."""
-    return pochhammer_inf(INT, 1, 1, 1, -1, order)
+    return poch_product(INT, order, [(1, 1, 1, -1)])
 
 
 def theta_jtp(ring, order: int, z=None, z_inv=None) -> Series:

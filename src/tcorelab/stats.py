@@ -157,7 +157,7 @@ def st_crank(p: Partition) -> int:
 
 def two_quotient_rank(p: Partition) -> int:
     """Part-count difference of the two components of the 2-quotient."""
-    nu0, nu1 = cores.quotient_part_counts(p, 2)
+    _, (nu0, nu1) = cores.quotient_profile(p, 2)
     return nu0 - nu1
 
 

@@ -11,7 +11,9 @@ claimed congruence family genuinely fails.
 
 from __future__ import annotations
 
+import operator
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,7 +40,6 @@ from .qseries import (
     hexagonal_theta_sum,
     partition_count_series,
     poch_product,
-    pochhammer_inf,
     theta_jtp,
     triangular_theta,
 )
@@ -118,18 +119,84 @@ def run_all(**overrides) -> list[CheckReport]:
 
 
 def clear_memo() -> None:
+    """Forget every report and every process-wide table."""
+    global _five_core
     _MEMO.clear()
+    _weight_table.cache_clear()
+    _five_core = None
+    _five_core_bg_counts.cache_clear()
 
 
 # ---------------------------------------------------------------------------
-# class counts and shared tallies
+# per-weight statistic tables and shared tallies
 
-FILTERS: dict[str | None, Callable[[Partition], bool]] = {
-    None: lambda p: True,
-    "srank-0-mod-4": lambda p: stats.srank(p) % 4 == 0,
-    "srank-2-mod-4": lambda p: stats.srank(p) % 4 == 2,
+# Columns beside stats.STATISTICS.  Every column function is looked up when a
+# column is filled, never bound at import, so wrappers installed around the
+# statistics see each call.
+COLUMNS: dict[str, Callable[[Partition], int]] = {
+    "odd-parts": lambda p: p.odd_part_count(),
+    "conjugate-odd-parts": lambda p: p.conjugate().odd_part_count(),
     "is-5-core": lambda p: is_t_core(p, 5),
-    "no-repeated-even-parts": lambda p: not stats.has_repeated_even_part(p),
+    "has-repeated-even-part": lambda p: stats.has_repeated_even_part(p),
+}
+
+
+class WeightTable:
+    """Statistic columns over the partitions of one weight.
+
+    Entry k of every column belongs to the k-th partition in enumeration
+    order, so a joint distribution is a Counter over zipped columns.  A
+    column is filled the first time a check reads it, and all the columns
+    one read asks for are filled in a single enumeration.  Only the columns
+    are kept, not the partitions: every value is bounded by the weight in
+    absolute value, so 16-bit arrays hold them at any enumerable weight.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.size: int | None = None
+        self.columns: dict[str, array] = {}
+
+    def _fill(self, names: tuple[str, ...]) -> None:
+        missing = [name for name in dict.fromkeys(names) if name not in self.columns]
+        if self.size is not None and not missing:
+            return
+        functions = [stats.STATISTICS.get(name) or COLUMNS[name] for name in missing]
+        filled = [array("h") for _ in missing]
+        size = 0
+        for p in enumerate_partitions(self.n):
+            size += 1
+            for fn, column in zip(functions, filled):
+                column.append(fn(p))
+        self.size = size
+        self.columns.update(zip(missing, filled))
+
+    def total(self) -> int:
+        """p(n), the number of partitions of the weight."""
+        self._fill(())
+        return self.size
+
+    def column(self, name: str) -> array:
+        self._fill((name,))
+        return self.columns[name]
+
+    def joint(self, *names: str) -> Counter:
+        """Counts of the value tuples that the named columns take together."""
+        self._fill(names)
+        return Counter(zip(*(self.columns[name] for name in names)))
+
+
+@lru_cache(maxsize=None)
+def _weight_table(n: int) -> WeightTable:
+    return WeightTable(n)
+
+
+# filter name -> (column, test on its value)
+FILTERS: dict[str, tuple[str, Callable[[int], bool]]] = {
+    "srank-0-mod-4": ("srank", lambda s: s % 4 == 0),
+    "srank-2-mod-4": ("srank", lambda s: s % 4 == 2),
+    "is-5-core": ("is-5-core", bool),
+    "no-repeated-even-parts": ("has-repeated-even-part", operator.not_),
 }
 
 
@@ -139,47 +206,40 @@ def class_counts(
     """Exhaustive residue tally of a named statistic over the partitions of n."""
     if statistic not in stats.STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    if filter_name not in FILTERS:
+    if filter_name is not None and filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}")
-    fn = stats.STATISTICS[statistic]
-    pred = FILTERS[filter_name]
+    column, keep = FILTERS.get(filter_name, (statistic, None))
     out = {r: 0 for r in range(modulus)}
-    for p in enumerate_partitions(n):
-        if pred(p):
-            out[fn(p) % modulus] += 1
+    for (value, tag), c in _weight_table(n).joint(statistic, column).items():
+        if keep is None or keep(tag):
+            out[value % modulus] += c
     return out
 
 
-@lru_cache(maxsize=None)
-def _srank_joint_tallies(n: int):
-    """One pass over the partitions of n.
-
-    Returns (stc, tqr, c5, totals): Counters keyed (srank mod 4, value) with
-    exact St-crank / 2-quotient-rank values, the 5-core-crank residue tally
-    (only when n = 4 mod 5), and per-srank-class totals.
-    """
-    stc: Counter = Counter()
-    tqr: Counter = Counter()
-    c5: Counter = Counter()
-    totals: Counter = Counter()
-    with_crank = n % 5 == 4
-    for p in enumerate_partitions(n):
-        s = stats.srank(p) % 4
-        totals[s] += 1
-        stc[(s, stats.st_crank(p))] += 1
-        tqr[(s, stats.two_quotient_rank(p))] += 1
-        if with_crank:
-            c5[(s, stats.five_core_crank(p))] += 1
-    return stc, tqr, c5, totals
+def _tally_series(ring, order: int, names: tuple[str, ...], term) -> Series:
+    """The series whose q**n coefficient sums term(count, *values) over the
+    joint tally of the named columns at weight n."""
+    return Series(ring, order, [
+        sum((term(c, *values) for values, c in _weight_table(n).joint(*names).items()),
+            ring.zero)
+        for n in range(order)
+    ])
 
 
-@lru_cache(maxsize=None)
-def _bgr_tqr_tally(n: int) -> dict[tuple[int, int], int]:
-    """Counts of partitions of n by (BG-rank, 2-quotient-rank)."""
-    tally: Counter = Counter()
-    for p in enumerate_partitions(n):
-        tally[(stats.bg_rank(p), stats.two_quotient_rank(p))] += 1
-    return dict(tally)
+def _equal_split(counts: dict[int, int], modulus: int, **where) -> dict | None:
+    """None when the residues mod `modulus` of the tallied values split the
+    total into `modulus` equal shares; otherwise a witness."""
+    total = sum(counts.values())
+    if total % modulus:
+        return {**where, "total": total}
+    share = total // modulus
+    residues = Counter()
+    for value, c in counts.items():
+        residues[value % modulus] += c
+    for k in range(modulus):
+        if residues[k] != share:
+            return {**where, "class": k, "count": residues[k], "expected": share}
+    return None
 
 
 @dataclass(frozen=True)
@@ -193,8 +253,20 @@ class FiveCoreTable:
     by_srank_crank: dict    # (weight, srank mod 4, c5) -> count
 
 
-@lru_cache(maxsize=None)
+_five_core: FiveCoreTable | None = None
+
+
 def five_core_table(limit: int = 524) -> FiveCoreTable:
+    """Aggregates over the 5-cores of weight <= limit.
+
+    The largest table built so far serves every request it covers.  A new
+    table runs up to the next weight 4 (mod 5), so bounds that differ by
+    less than five share one table.
+    """
+    global _five_core
+    if _five_core is not None and _five_core.limit >= limit:
+        return _five_core
+    limit += (4 - limit) % 5
     count: Counter = Counter()
     by_srank: Counter = Counter()
     by_crank: Counter = Counter()
@@ -207,7 +279,8 @@ def five_core_table(limit: int = 524) -> FiveCoreTable:
             c = stats.five_core_crank_from_vector(vec)
             by_crank[(w, c)] += 1
             by_both[(w, s, c)] += 1
-    return FiveCoreTable(limit, dict(count), dict(by_srank), dict(by_crank), dict(by_both))
+    _five_core = FiveCoreTable(limit, dict(count), dict(by_srank), dict(by_crank), dict(by_both))
+    return _five_core
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +321,7 @@ def _alpha_form_counts(order: int) -> list[int]:
 def _progression_check(step: int, offset: int, max_n: int, modulus: int, order: int):
     series = partition_count_series(order)
     for n in range(offset, max_n + 1, step):
-        total = sum(1 for _ in enumerate_partitions(n))
+        total = _weight_table(n).total()
         if total != series.coeff(n):
             return "fail", {"n": n, "enumerated": total, "series": series.coeff(n)}
         if total % modulus:
@@ -277,42 +350,28 @@ def _chk_ram11(params):
     return _progression_check(11, 6, params["max_n"], 11, params["order"])
 
 
-def _equal_classes(n: int, statistic: str, modulus: int):
-    counts = class_counts(n, statistic, modulus)
-    total = sum(counts.values())
-    if total % modulus:
-        return {"n": n, "total": total}
-    share = total // modulus
-    for k, c in counts.items():
-        if c != share:
-            return {"n": n, "class": k, "count": c, "expected": share}
-    return None
+def _equal_classes(statistic: str, jobs):
+    """The statistic mod m splits p(mn + offset) evenly, for each
+    (m, offset, top) job and every mn + offset <= top."""
+    for modulus, offset, top in jobs:
+        for n in range(offset, top + 1, modulus):
+            w = _equal_split(class_counts(n, statistic, modulus), modulus, n=n)
+            if w:
+                return "fail", w
+    return "pass", None
 
 
 @register("CHK-DYSON", "rank mod 5 / mod 7 splits p(5n+4), p(7n+5) evenly",
           max_n5=49, max_n7=47)
 def _chk_dyson(params):
-    for n in range(4, params["max_n5"] + 1, 5):
-        w = _equal_classes(n, "dyson-rank", 5)
-        if w:
-            return "fail", w
-    for n in range(5, params["max_n7"] + 1, 7):
-        w = _equal_classes(n, "dyson-rank", 7)
-        if w:
-            return "fail", w
-    return "pass", None
+    return _equal_classes("dyson-rank", [(5, 4, params["max_n5"]), (7, 5, params["max_n7"])])
 
 
 @register("CHK-AG", "crank splits all three progressions evenly",
           max_n5=49, max_n7=47, max_n11=50)
 def _chk_ag(params):
     jobs = [(5, 4, params["max_n5"]), (7, 5, params["max_n7"]), (11, 6, params["max_n11"])]
-    for modulus, offset, top in jobs:
-        for n in range(offset, top + 1, modulus):
-            w = _equal_classes(n, "ag-crank", modulus)
-            if w:
-                return "fail", w
-    return "pass", None
+    return _equal_classes("ag-crank", jobs)
 
 
 @register("CHK-CRANKGF", "crank generating function with the weight-1 anomaly",
@@ -322,18 +381,11 @@ def _chk_crankgf(params):
     ring = LaurentRing(("x",))
     x = ring.monomial(x=1)
     xi = ring.monomial(x=-1)
-    lhs = Series(ring, order)
-    lhs.coeffs[0] = ring.one
+    lhs = _tally_series(ring, order, ("ag-crank",), lambda c, m: ring.monomial(c, x=m))
     if order > 1:
         lhs.coeffs[1] = x + xi - ring.one
-    for n in range(2, order):
-        acc = ring.zero
-        for p in enumerate_partitions(n):
-            acc = acc + ring.monomial(x=stats.ag_crank(p))
-        lhs.coeffs[n] = acc
     rhs = poch_product(ring, order, [(ring.one, 1, 1, 1), (x, 1, 1, -1), (xi, 1, 1, -1)])
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"q_power": k}
     return "pass", None
 
@@ -342,15 +394,12 @@ def _chk_crankgf(params):
 def _chk_gref5(params):
     for n in range(4, params["max_n"] + 1, 5):
         mod10 = class_counts(n, "ag-crank", 10)
-        mod2 = class_counts(n, "ag-crank", 2)
         for alpha in (0, 1):
-            if mod2[alpha] % 5:
-                return "fail", {"n": n, "alpha": alpha, "count": mod2[alpha]}
-            share = mod2[alpha] // 5
-            for k in range(5):
-                if mod10[2 * k + alpha] != share:
-                    return "fail", {"n": n, "alpha": alpha, "k": k,
-                                    "count": mod10[2 * k + alpha], "expected": share}
+            # crank = 2k + alpha (mod 10) for k = 0..4
+            halves = {k: mod10[2 * k + alpha] for k in range(5)}
+            w = _equal_split(halves, 5, n=n, alpha=alpha)
+            if w:
+                return "fail", w
     return "pass", None
 
 
@@ -362,14 +411,8 @@ def _chk_gref5(params):
 def _chk_rsgf(params):
     order = params["order"]
     ring = LaurentRing(("z", "y"))
-    lhs = Series(ring, order)
-    for n in range(order):
-        acc = ring.zero
-        for p in enumerate_partitions(n):
-            acc = acc + ring.monomial(
-                z=p.odd_part_count(), y=p.conjugate().odd_part_count()
-            )
-        lhs.coeffs[n] = acc
+    lhs = _tally_series(ring, order, ("odd-parts", "conjugate-odd-parts"),
+                        lambda c, z, y: ring.monomial(c, z=z, y=y))
     rhs = poch_product(
         ring, order,
         [
@@ -379,8 +422,7 @@ def _chk_rsgf(params):
             (ring.monomial(y=2), 2, 4, -1),
         ],
     )
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"q_power": k}
     return "pass", None
 
@@ -388,15 +430,9 @@ def _chk_rsgf(params):
 @register("CHK-P02PROD", "difference p0(n) - p2(n) has a product form", order=30)
 def _chk_p02prod(params):
     order = params["order"]
-    lhs = Series(INT, order)
-    for n in range(order):
-        diff = 0
-        for p in enumerate_partitions(n):
-            diff += 1 if stats.srank(p) % 4 == 0 else -1
-        lhs.coeffs[n] = diff
+    lhs = _tally_series(INT, order, ("srank",), lambda c, s: c if s % 4 == 0 else -c)
     rhs = poch_product(INT, order, [(-1, 1, 2, 1), (1, 4, 4, -1), (-1, 2, 4, -2)])
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"q_power": k, "lhs": lhs.coeffs[k], "rhs": rhs.coeffs[k]}
     return "pass", None
 
@@ -405,7 +441,7 @@ def _chk_p02prod(params):
           max_n=49)
 def _chk_andrews(params):
     for n in range(4, params["max_n"] + 1, 5):
-        _, _, _, totals = _srank_joint_tallies(n)
+        totals = Counter(s % 4 for s in _weight_table(n).column("srank"))
         p0, p2 = totals[0], totals[2]
         if p0 % 5 or p2 % 5 or p2 % 10:
             return "fail", {"n": n, "p0": p0, "p2": p2}
@@ -417,36 +453,28 @@ def _chk_andrews(params):
 def _chk_srankprod(params):
     order = params["order"]
     ring = LaurentRing(("y",))
-    lhs = Series(ring, order)
-    for n in range(order):
-        acc = ring.zero
-        for p in enumerate_partitions(n):
-            if not stats.has_repeated_even_part(p):
-                acc = acc + ring.monomial(y=stats.srank(p))
-        lhs.coeffs[n] = acc
+    lhs = _tally_series(ring, order, ("srank", "has-repeated-even-part"),
+                        lambda c, s, repeated: ring.zero if repeated else ring.monomial(c, y=s))
     rhs = poch_product(
         ring, order,
         [(-1, 1, 2, 1), (ring.monomial(y=2), 2, 4, -1), (ring.monomial(y=-2), 2, 4, -1)],
     )
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"q_power": k}
     return "pass", None
 
 
-def _lemma1_product(ring, order, x_pow, y2_elem, y2_inv_elem):
+def _lemma1_product(ring, order, x, x_inv, y2, y2_inv):
     """(q^4;q^4)(-q;q^2) / ((q^4 x, q^4/x, q^2 y^2 x, q^2/(y^2 x); q^4))."""
-    x = ring.monomial(x=x_pow) if x_pow else ring.one
-    xi = ring.monomial(x=-x_pow) if x_pow else ring.one
     return poch_product(
         ring, order,
         [
             (ring.one, 4, 4, 1),
             (ring.from_int(-1), 1, 2, 1),
             (x, 4, 4, -1),
-            (xi, 4, 4, -1),
-            (y2_elem * x, 2, 4, -1),
-            (y2_inv_elem * xi, 2, 4, -1),
+            (x_inv, 4, 4, -1),
+            (y2 * x, 2, 4, -1),
+            (y2_inv * x_inv, 2, 4, -1),
         ],
     )
 
@@ -455,35 +483,28 @@ def _lemma1_product(ring, order, x_pow, y2_elem, y2_inv_elem):
 def _chk_lemma1(params):
     order = params["order"]
     ring = LaurentRing(("x", "y"))
-    lhs = Series(ring, order)
-    for n in range(order):
-        acc = ring.zero
-        for p in enumerate_partitions(n):
-            acc = acc + ring.monomial(x=stats.st_crank(p), y=stats.srank(p))
-        lhs.coeffs[n] = acc
-    rhs = _lemma1_product(ring, order, 1, ring.monomial(y=2), ring.monomial(y=-2))
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    lhs = _tally_series(ring, order, ("st-crank", "srank"),
+                        lambda c, m, s: ring.monomial(c, x=m, y=s))
+    rhs = _lemma1_product(ring, order, ring.monomial(x=1), ring.monomial(x=-1),
+                          ring.monomial(y=2), ring.monomial(y=-2))
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"q_power": k}
     return "pass", None
 
 
 def _g_at_xi(order: int, y_squared: int) -> Series:
     """The (St-crank, srank) product at x = xi, y^2 = +-1, over Z[xi]."""
-    xi1 = CYC5.xi(1)
-    xi4 = CYC5.xi(4)
     sign = CYC5.from_int(y_squared)
-    return poch_product(
-        CYC5, order,
-        [
-            (CYC5.one, 4, 4, 1),
-            (CYC5.from_int(-1), 1, 2, 1),
-            (xi1, 4, 4, -1),
-            (xi4, 4, 4, -1),
-            (sign * xi1, 2, 4, -1),
-            (sign * xi4, 2, 4, -1),
-        ],
-    )
+    return _lemma1_product(CYC5, order, CYC5.xi(1), CYC5.xi(4), sign, sign)
+
+
+def _xi_theta(order: int) -> Series:
+    """Sum over m >= 0 of (-1)^m xi^(-2m) q^(m(m+1)) times the exact
+    geometric quotient (1 - xi^(4m+2)) / (1 - xi^2), over Z[xi]."""
+    return Series.from_terms(CYC5, order, (
+        (m * (m + 1), (-1) ** m * CYC5.xi(-2 * m) * CYC5.geometric_xi2(m))
+        for m in range(isqrt(order) + 1)
+    ))
 
 
 @register("CHK-COEFFZ", "coefficients of q^(5n+4) vanish at a fifth root of unity",
@@ -497,38 +518,17 @@ def _chk_coeffz(params):
                 return "fail", {"y_squared": y_squared, "q_power": n,
                                 "coefficient": repr(series.coeffs[n])}
     # composite route: g(xi,1,q) * (q^10;q^10) equals the double theta sum
-    # with the exact geometric quotient of (1 - xi^(4m+2)) by (1 - xi^2)
-    lhs = _g_at_xi(order, 1) * pochhammer_inf(CYC5, CYC5.one, 10, 10, 1, order)
-    rhs = Series(CYC5, order)
-    m = 0
-    while m * (m + 1) < order:
-        term = CYC5.xi(-2 * m) * CYC5.geometric_xi2(m)
-        if m % 2:
-            term = -term
-        k = 0
-        while m * (m + 1) + k * (k + 1) // 2 < order:
-            e = m * (m + 1) + k * (k + 1) // 2
-            rhs.coeffs[e] = rhs.coeffs[e] + term
-            k += 1
-        m += 1
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    # over m(m+1) + k(k+1)/2, i.e. the xi-theta times the triangular theta
+    lhs = _g_at_xi(order, 1) * poch_product(CYC5, order, [(CYC5.one, 10, 10, 1)])
+    rhs = _xi_theta(order) * triangular_theta(CYC5, order)
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"route": "composite", "q_power": k}
     # triple-product specialization at xi^2, order-2 arguments
     jt_lhs = poch_product(
         CYC5, order,
         [(CYC5.xi(2), 2, 2, 1), (CYC5.xi(3), 2, 2, 1), (CYC5.one, 2, 2, 1)],
     )
-    jt_rhs = Series(CYC5, order)
-    m = 0
-    while m * (m + 1) < order:
-        term = CYC5.xi(-2 * m) * CYC5.geometric_xi2(m)
-        if m % 2:
-            term = -term
-        jt_rhs.coeffs[m * (m + 1)] = jt_rhs.coeffs[m * (m + 1)] + term
-        m += 1
-    if not jt_lhs.eq_upto(jt_rhs):
-        k = next(i for i in range(order) if jt_lhs.coeffs[i] != jt_rhs.coeffs[i])
+    if (k := jt_lhs.first_difference(_xi_theta(order))) is not None:
         return "fail", {"route": "triple-product", "q_power": k}
     return "pass", None
 
@@ -536,21 +536,22 @@ def _chk_coeffz(params):
 @register("CHK-THM1", "St-crank mod 5 splits p0(5n+4) and p2(5n+4) evenly",
           max_n=49)
 def _chk_thm1(params):
-    for n in range(4, params["max_n"] + 1, 5):
-        stc, _, _, totals = _srank_joint_tallies(n)
-        residues: Counter = Counter()
-        for (s, value), c in stc.items():
-            residues[(s, value % 5)] += c
-        for i in (0, 2):
-            if totals[i] % 5:
-                return "fail", {"n": n, "srank_class": i, "total": totals[i]}
-            share = totals[i] // 5
-            for k in range(5):
-                if residues.get((i, k), 0) != share:
-                    return "fail", {"n": n, "srank_class": i, "class": k,
-                                    "count": residues.get((i, k), 0),
-                                    "expected": share}
-    return "pass", None
+    w = _srank_class_split(params["max_n"], "st-crank")
+    return ("fail", w) if w else ("pass", None)
+
+
+def _srank_class_split(max_n: int, name: str) -> dict | None:
+    """Witness unless the named statistic mod 5 splits each srank class of
+    the partitions of 5n+4 <= max_n evenly."""
+    for n in range(4, max_n + 1, 5):
+        classes = {0: Counter(), 2: Counter()}  # srank is even
+        for (s, value), c in _weight_table(n).joint("srank", name).items():
+            classes[s % 4][value] += c
+        for i, counts in classes.items():
+            w = _equal_split(counts, 5, n=n, srank_class=i)
+            if w:
+                return w
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +571,8 @@ def _chk_tcoregf(params):
             if (w - bt) % t:
                 return "fail", {"t": t, "vector": list(vec),
                                 "reason": "weight residue mismatch"}
-        for n in range(order):
-            if series.coeff(n) != vec_counts[n]:
-                return "fail", {"t": t, "n": n, "series": series.coeff(n),
-                                "vectors": vec_counts[n]}
+        if (n := series.first_difference(Series(INT, order, vec_counts))) is not None:
+            return "fail", {"t": t, "n": n, "series": series.coeff(n), "vectors": vec_counts[n]}
         for n in range(params["enum_n"] + 1):
             filtered = count_t_cores_by_filter(n, t)
             if filtered != vec_counts[n]:
@@ -581,11 +580,8 @@ def _chk_tcoregf(params):
                                 "vectors": vec_counts[n]}
     # 2-cores are exactly the staircases: a_2(n) = 1 iff n is triangular
     series2 = poch_product(INT, order, [(1, 2, 2, 2), (1, 1, 1, -1)])
-    for n in range(order):
-        k = isqrt(2 * n)
-        triangular = k * (k + 1) // 2 == n
-        if series2.coeff(n) != (1 if triangular else 0):
-            return "fail", {"t": 2, "n": n, "reason": "staircase criterion"}
+    if (n := series2.first_difference(triangular_theta(INT, order))) is not None:
+        return "fail", {"t": 2, "n": n, "reason": "staircase criterion"}
     return "pass", None
 
 
@@ -594,28 +590,20 @@ def _chk_tcoregf(params):
 def _chk_thm2(params):
     # full joint distributions agree within each srank class
     for n in range(params["joint_n"] + 1):
-        stc, tqr, _, _ = _srank_joint_tallies(n)
+        stc: Counter = Counter()
+        tqr: Counter = Counter()
+        joint = _weight_table(n).joint("srank", "st-crank", "two-quotient-rank")
+        for (s, a, b), c in joint.items():
+            stc[(s % 4, a)] += c
+            tqr[(s % 4, b)] += c
         if stc != tqr:
-            keys = set(stc) | set(tqr)
-            bad = next(k for k in sorted(keys)
-                       if stc.get(k, 0) != tqr.get(k, 0))
+            bad = min(k for k in stc | tqr if stc[k] != tqr[k])
             return "fail", {"n": n, "srank_class": bad[0], "value": bad[1],
-                            "st_crank_count": stc.get(bad, 0),
-                            "two_quotient_rank_count": tqr.get(bad, 0)}
+                            "st_crank_count": stc[bad],
+                            "two_quotient_rank_count": tqr[bad]}
     # residue classes of the 2-quotient-rank split p_i(5n+4) evenly
-    for n in range(4, params["max_n"] + 1, 5):
-        _, tqr, _, totals = _srank_joint_tallies(n)
-        residues: Counter = Counter()
-        for (s, value), c in tqr.items():
-            residues[(s, value % 5)] += c
-        for i in (0, 2):
-            share = totals[i] // 5
-            for k in range(5):
-                if residues.get((i, k), 0) != share:
-                    return "fail", {"n": n, "srank_class": i, "class": k,
-                                    "count": residues.get((i, k), 0),
-                                    "expected": share}
-    return "pass", None
+    w = _srank_class_split(params["max_n"], "two-quotient-rank")
+    return ("fail", w) if w else ("pass", None)
 
 
 @register("CHK-G2", "(2-quotient-rank, srank) product forms", order=25)
@@ -623,39 +611,24 @@ def _chk_g2(params):
     order = params["order"]
     # symbolic omega with omega^4 = 1
     ring = LaurentRing(("x", "w"), cyclic={"w": 4})
-    lhs = Series(ring, order)
-    tallies = []
-    for n in range(order):
-        acc = ring.zero
-        row = []
-        for p in enumerate_partitions(n):
-            m = stats.two_quotient_rank(p)
-            s = stats.srank(p)
-            row.append((m, s))
-            acc = acc + ring.monomial(x=m, w=s % 4)
-        lhs.coeffs[n] = acc
-        tallies.append(row)
+    names = ("two-quotient-rank", "srank")
+    lhs = _tally_series(ring, order, names, lambda c, m, s: ring.monomial(c, x=m, w=s % 4))
     rhs = poch_product(ring, order, [(ring.one, 4, 4, 1), (ring.from_int(-1), 1, 2, 1)])
     d = 2
     while d < order:
         rhs = rhs.div_one_minus(ring.monomial(x=1, w=d % 4), d)
         rhs = rhs.div_one_minus(ring.monomial(x=-1, w=d % 4), d)
         d += 2
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"route": "symbolic", "q_power": k}
     # specializations omega^2 = +-1 against the (St-crank, srank) product
     xring = LaurentRing(("x",))
     for sign in (1, -1):
-        spec = Series(xring, order)
-        for n in range(order):
-            acc = xring.zero
-            for m, s in tallies[n]:
-                acc = acc + xring.monomial(sign ** ((s // 2) % 2), x=m)
-            spec.coeffs[n] = acc
-        rhs2 = _lemma1_product(xring, order, 1, xring.from_int(sign), xring.from_int(sign))
-        if not spec.eq_upto(rhs2):
-            k = next(i for i in range(order) if spec.coeffs[i] != rhs2.coeffs[i])
+        spec = _tally_series(xring, order, names,
+                             lambda c, m, s: xring.monomial(c * sign ** ((s // 2) % 2), x=m))
+        rhs2 = _lemma1_product(xring, order, xring.monomial(x=1), xring.monomial(x=-1),
+                               xring.from_int(sign), xring.from_int(sign))
+        if (k := spec.first_difference(rhs2)) is not None:
             return "fail", {"route": f"omega^2={sign}", "q_power": k}
     return "pass", None
 
@@ -686,31 +659,26 @@ def _chk_g3(params):
          (ring.monomial(x=3), 3, 3, 1), (ring.monomial(x=-3), 3, 3, 1),
          (ring.monomial(x=1), 1, 1, -1), (ring.monomial(x=-1), 1, 1, -1)],
     ).scaled(x1 + ring.one + ring.monomial(x=-1))
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"route": "hexagonal-theta", "q_power": k}
 
     # n-vector sum over 3-cores, divided by the quotient legs; the numerator
     # must also agree with the shifted hexagonal theta
-    bound = isqrt(order) + 2
-    numerator = Series(ring, order)
-    for n1 in range(-bound, bound + 1):
-        for n2 in range(-bound, bound + 1):
-            w = q3(n1, n2)
-            if 0 <= w < order:
-                term = (ring.monomial(x=3 * n1) + ring.monomial(x=3 * n2 + 1)
-                        + ring.monomial(x=-3 * n2 - 1))
-                numerator.coeffs[w] = numerator.coeffs[w] + term
-    if not numerator.eq_upto(lhs):
-        k = next(i for i in range(order) if numerator.coeffs[i] != lhs.coeffs[i])
+    span = range(-isqrt(order) - 2, isqrt(order) + 3)
+    numerator = Series.from_terms(ring, order, (
+        (q3(n1, n2), ring.monomial(x=3 * n1) + ring.monomial(x=3 * n2 + 1)
+         + ring.monomial(x=-3 * n2 - 1))
+        for n1 in span for n2 in span
+    ))
+    if (k := numerator.first_difference(lhs)) is not None:
         return "fail", {"route": "numerator-vs-theta", "q_power": k}
     legs = poch_product(
         ring, order,
         [(ring.one, 3, 3, -1), (ring.monomial(x=3), 3, 3, -1),
          (ring.monomial(x=-3), 3, 3, -1)],
     )
-    if not (numerator * legs).eq_upto(crank_shape(order)):
-        return "fail", {"route": "n-vector-sum"}
+    if (k := (numerator * legs).first_difference(crank_shape(order))) is not None:
+        return "fail", {"route": "n-vector-sum", "q_power": k}
 
     # direct tally over partitions
     tally_order = params["tally_order"]
@@ -725,9 +693,7 @@ def _chk_g3(params):
                    + ring.monomial(x=3 * n2 + 1 + shift)
                    + ring.monomial(x=-3 * n2 - 1 + shift))
         tally.coeffs[n] = acc
-    if not tally.eq_upto(crank_shape(tally_order)):
-        k = next(i for i in range(tally_order)
-                 if tally.coeffs[i] != crank_shape(tally_order).coeffs[i])
+    if (k := tally.first_difference(crank_shape(tally_order))) is not None:
         return "fail", {"route": "tally", "q_power": k}
     return "pass", None
 
@@ -740,7 +706,9 @@ def _chk_g3(params):
           order=60, psift_order=40, rel_n=104)
 def _chk_5core(params):
     order = params["order"]
-    table = five_core_table()
+    theta_n = 20  # the theta bijection is checked vector by vector up to here
+    limit = 5 * max(order - 2, params["rel_n"], theta_n) + 4
+    table = five_core_table(limit)
     # alpha-form sum equals the sifted 5-core counts, both by direct
     # enumeration of alpha space and through the product series
     alpha_counts = _alpha_form_counts(order)
@@ -761,23 +729,19 @@ def _chk_5core(params):
     po = params["psift_order"]
     lhs = partition_count_series(5 * po).sift(5, 4).times_q(1)
     alpha_series = Series(INT, po, _alpha_form_counts(po))
-    rhs = pochhammer_inf(INT, 1, 1, 1, -5, po) * alpha_series
-    if not lhs.eq_upto(rhs, po):
-        k = next(i for i in range(po) if lhs.coeffs[i] != rhs.coeffs[i])
+    rhs = poch_product(INT, po, [(1, 1, 1, -5)]) * alpha_series
+    if (k := lhs.first_difference(rhs, po)) is not None:
         return "fail", {"route": "p-sift", "q_power": k}
     # a5(5n+4) = 5 a5(n); crank classes are equal fifths
     for n in range(params["rel_n"] + 1):
         if table.count.get(5 * n + 4, 0) != 5 * table.count.get(n, 0):
             return "fail", {"route": "5corerel", "n": n}
-    for w in range(4, table.limit + 1, 5):
-        a5 = table.count.get(w, 0)
-        if a5 % 5:
-            return "fail", {"route": "5corecong", "weight": w, "count": a5}
-        for j in range(5):
-            if table.by_crank.get((w, j), 0) != a5 // 5:
-                return "fail", {"route": "crank-classes", "weight": w, "class": j}
+    for w in range(4, limit + 1, 5):
+        crank = {j: table.by_crank.get((w, j), 0) for j in range(5)}
+        if (bad := _equal_split(crank, 5, route="crank-classes", weight=w)):
+            return "fail", bad
     # theta: explicit bijection onto crank-0 5-cores of 5n+4
-    for n in range(21):
+    for n in range(theta_n + 1):
         images = set()
         for vec, w in iter_core_vectors(5, n):
             if w != n:
@@ -837,14 +801,9 @@ def _chk_orbit(params):
 @register("CHK-THM3", "5-core crank mod 5 splits p0(5n+4) and p2(5n+4) evenly",
           max_n=49)
 def _chk_thm3(params):
-    for n in range(4, params["max_n"] + 1, 5):
-        _, _, c5, totals = _srank_joint_tallies(n)
-        for i in (0, 2):
-            share = totals[i] // 5
-            for j in range(5):
-                if c5.get((i, j), 0) != share:
-                    return "fail", {"n": n, "srank_class": i, "class": j,
-                                    "count": c5.get((i, j), 0), "expected": share}
+    w = _srank_class_split(params["max_n"], "five-core-crank")
+    if w:
+        return "fail", w
     # structural facts behind the weight-9 orbit table
     data = tables.table2_data(9)
     if len(data["orbits"]) != 6:
@@ -902,16 +861,13 @@ def _chk_elegant(params):
 @register("CHK-REFINE", "srank-refined 5-core counting relations",
           refine_n=100, theta_n=104, invar_n=25)
 def _chk_refine(params):
-    table = five_core_table()
-    for w in range(4, table.limit + 1, 5):
+    limit = 5 * max(params["refine_n"], params["theta_n"]) + 4
+    table = five_core_table(limit)
+    for w in range(4, limit + 1, 5):
         for i in (0, 2):
-            total = table.by_srank.get((w, i), 0)
-            if total % 5:
-                return "fail", {"route": "refine", "weight": w, "srank_class": i}
-            for j in range(5):
-                if table.by_srank_crank.get((w, i, j), 0) != total // 5:
-                    return "fail", {"route": "refine", "weight": w,
-                                    "srank_class": i, "crank_class": j}
+            crank = {j: table.by_srank_crank.get((w, i, j), 0) for j in range(5)}
+            if (bad := _equal_split(crank, 5, route="refine", weight=w, srank_class=i)):
+                return "fail", bad
     for n in range(params["theta_n"] + 1):
         for i in (0, 2):
             lhs = table.by_srank.get((n, i), 0)
@@ -945,8 +901,8 @@ def _chk_refine(params):
 @register("CHK-A50", "srank-0 5-core counts by weight residue mod 4",
           max_arg=520, form4_n=100, map_n=25)
 def _chk_a50(params):
-    table = five_core_table()
-    top = min(params["max_arg"], table.limit)
+    top = params["max_arg"]
+    table = five_core_table(max(top, 4 * max(params["form4_n"], params["map_n"]) + 3))
     for m in range(top + 1):
         a50 = table.by_srank.get((m, 0), 0)
         if m % 4 in (0, 1):
@@ -1117,24 +1073,19 @@ def _chk_bgralt(params):
 def _chk_fj(params):
     order = params["order"]
     ring = LaurentRing(("x",))
-    attained = sorted({j for n in range(order) for (j, _) in _bgr_tqr_tally(n)})
+    names = ("bg-rank", "two-quotient-rank")
+    attained = sorted({j for n in range(order) for (j, _) in _weight_table(n).joint(*names)})
     for j in attained:
         shift = (2 * j - 1) * j
         if shift >= order:
             continue
-        lhs = Series(ring, order)
-        for n in range(order):
-            acc = ring.zero
-            for (jj, m), c in _bgr_tqr_tally(n).items():
-                if jj == j:
-                    acc = acc + ring.monomial(c, x=m)
-            lhs.coeffs[n] = acc
+        lhs = _tally_series(ring, order, names,
+                            lambda c, jj, m: ring.monomial(c, x=m) if jj == j else ring.zero)
         rhs = poch_product(
             ring, order,
             [(ring.monomial(x=1), 2, 2, -1), (ring.monomial(x=-1), 2, 2, -1)],
         ).times_q(shift)
-        if not lhs.eq_upto(rhs):
-            k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+        if (k := lhs.first_difference(rhs)) is not None:
             return "fail", {"j": j, "q_power": k}
     # cyclotomic specialization: product versus the exact divided theta form
     xi_order = params["xi_order"]
@@ -1142,17 +1093,8 @@ def _chk_fj(params):
         CYC5, xi_order,
         [(CYC5.xi(1), 2, 2, -1), (CYC5.xi(4), 2, 2, -1)],
     )
-    rhs = Series(CYC5, xi_order)
-    n = 0
-    while n * n + n < xi_order:
-        term = CYC5.xi(-2 * n) * CYC5.geometric_xi2(n)
-        if n % 2:
-            term = -term
-        rhs.coeffs[n * n + n] = rhs.coeffs[n * n + n] + term
-        n += 1
-    rhs = rhs * pochhammer_inf(CYC5, CYC5.one, 10, 10, -1, xi_order)
-    if not lhs.eq_upto(rhs):
-        k = next(i for i in range(xi_order) if lhs.coeffs[i] != rhs.coeffs[i])
+    rhs = _xi_theta(xi_order) * poch_product(CYC5, xi_order, [(CYC5.one, 10, 10, -1)])
+    if (k := lhs.first_difference(rhs)) is not None:
         return "fail", {"route": "cyclotomic", "q_power": k}
     return "pass", None
 
@@ -1169,33 +1111,22 @@ _THM5_CASES = {
 @register("CHK-THM5", "BG-rank classes split by 2-quotient-rank mod 5", max_n=45)
 def _chk_thm5(params):
     for n in range(params["max_n"] + 1):
-        tally = _bgr_tqr_tally(n)
         case = _THM5_CASES[n % 5]
-        totals: Counter = Counter()
-        residues: Counter = Counter()
-        for (j, m), c in tally.items():
-            totals[j] += c
-            residues[(j, m % 5)] += c
-        for j, total in totals.items():
-            if not case(j):
-                continue
-            if total % 5:
-                return "fail", {"n": n, "j": j, "total": total}
-            for k in range(5):
-                if residues.get((j, k), 0) != total // 5:
-                    return "fail", {"n": n, "j": j, "class": k,
-                                    "count": residues.get((j, k), 0)}
+        by_bg: dict[int, Counter] = {}
+        for (j, m), c in _weight_table(n).joint("bg-rank", "two-quotient-rank").items():
+            by_bg.setdefault(j, Counter())[m] += c
+        for j, counts in by_bg.items():
+            w = _equal_split(counts, 5, n=n, j=j) if case(j) else None
+            if w:
+                return "fail", w
     return "pass", None
 
 
 @register("CHK-COR5", "BG-rank refined congruences mod 5", max_n=45)
 def _chk_cor5(params):
     for n in range(params["max_n"] + 1):
-        tally = _bgr_tqr_tally(n)
         case = _THM5_CASES[n % 5]
-        totals: Counter = Counter()
-        for (j, _), c in tally.items():
-            totals[j] += c
+        totals = Counter(_weight_table(n).column("bg-rank"))
         for j, total in totals.items():
             if case(j) and total % 5:
                 return "fail", {"n": n, "j": j, "count": total}
@@ -1203,22 +1134,12 @@ def _chk_cor5(params):
 
 
 def _scan_bg_counterexample(max_weight: int):
-    counts = _five_core_bg_counts(max_weight)
-    n = 0
-    while True:
-        base = 5 * n
-        if base > max_weight:
-            return None
-        for r in range(4):
-            weight = base + r
-            if weight > max_weight:
-                break
-            attained = sorted(j for (w, j) in counts if w == weight)
-            for j in attained:
-                c = counts[(weight, j)]
-                if c % 5:
-                    return {"n": n, "r": r, "j": j, "weight": weight, "count": c}
-        n += 1
+    """The first (weight, BG-rank) class of 5-cores, weight 5n+r with r < 4,
+    whose size is not divisible by 5."""
+    for (w, j), c in sorted(_five_core_bg_counts(max_weight).items()):
+        if w % 5 != 4 and c % 5:
+            return {"n": w // 5, "r": w % 5, "j": j, "weight": w, "count": c}
+    return None
 
 
 @register("CHK-AB5JR", "5-core BG-rank classes on 5n+r, r<4: congruence fails",
@@ -1246,11 +1167,11 @@ def _chk_ab5j4(params):
 def _chk_jtpa(params):
     order = params["order"]
     lhs = poch_product(INT, order, [(1, 4, 4, 1), (-1, 1, 2, 1)])
-    if not lhs.eq_upto(triangular_theta(INT, order)):
-        return "fail", {"route": "triangular"}
+    if (k := lhs.first_difference(triangular_theta(INT, order))) is not None:
+        return "fail", {"route": "triangular", "q_power": k}
     mid = poch_product(INT, order, [(1, 4, 4, 1), (-1, 3, 4, 1), (-1, 1, 4, 1)])
-    if not lhs.eq_upto(mid):
-        return "fail", {"route": "regrouped-product"}
+    if (k := lhs.first_difference(mid)) is not None:
+        return "fail", {"route": "regrouped-product", "q_power": k}
     return "pass", None
 
 
@@ -1260,8 +1181,7 @@ def _chk_rambest(params):
     order = params["order"]
     lhs = partition_count_series(5 * order + 5).sift(5, 4)
     rhs = poch_product(INT, order, [(1, 5, 5, 5), (1, 1, 1, -6)]).scaled(5)
-    if not lhs.eq_upto(rhs, order):
-        k = next(i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+    if (k := lhs.first_difference(rhs, order)) is not None:
         return "fail", {"q_power": k, "lhs": lhs.coeffs[k], "rhs": rhs.coeffs[k]}
     return "pass", None
 
@@ -1273,15 +1193,15 @@ def _chk_jtp(params):
     for z in (1, -1):
         lhs = theta_jtp(INT, order, z, z)
         rhs = poch_product(INT, order, [(1, 2, 2, 1), (-z, 1, 2, 1), (-z, 1, 2, 1)])
-        if not lhs.eq_upto(rhs):
-            return "fail", {"z": z}
+        if (k := lhs.first_difference(rhs)) is not None:
+            return "fail", {"z": z, "q_power": k}
     ring = LaurentRing(("z",))
     z = ring.monomial(z=1)
     zi = ring.monomial(z=-1)
     lhs = theta_jtp(ring, order, z, zi)
     rhs = poch_product(ring, order, [(ring.one, 2, 2, 1), (-z, 1, 2, 1), (-zi, 1, 2, 1)])
-    if not lhs.eq_upto(rhs):
-        return "fail", {"z": "symbolic"}
+    if (k := lhs.first_difference(rhs)) is not None:
+        return "fail", {"z": "symbolic", "q_power": k}
     return "pass", None
 
 

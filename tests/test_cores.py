@@ -8,6 +8,7 @@ import pytest
 
 from tcorelab.cores import (
     CoreQuotient,
+    _partition_from_colors,
     alpha_from_n,
     capital_phi,
     capital_phi_inv,
@@ -22,7 +23,7 @@ from tcorelab.cores import (
     phi2_inv,
     q3,
     q_alpha,
-    quotient_part_counts,
+    quotient_profile,
     words,
 )
 from tcorelab.partitions import Partition, enumerate_partitions, strip_to_core
@@ -85,12 +86,18 @@ class TestPhi1:
         with pytest.raises(ValueError):
             phi1_inv(CoreQuotient(2, Partition((2,)), (Partition(), Partition())))
 
+    def test_reassembly_rejects_unbalanced_beads(self):
+        # three charges for two colours: the third is ignored, so the bead
+        # count cannot balance even though the charges sum to zero
+        with pytest.raises(ValueError):
+            _partition_from_colors(2, (1, 0, -1), ())
+
     def test_quotient_part_counts_match(self):
         for n in range(16):
             for p in enumerate_partitions(n):
                 for t in (2, 3):
                     cq = phi1(p, t)
-                    assert quotient_part_counts(p, t) == tuple(
+                    assert quotient_profile(p, t)[1] == tuple(
                         len(q) for q in cq.quotient
                     )
 
@@ -106,6 +113,12 @@ class TestPhi2:
         core = phi2_inv((1, 1, 0, -1, -1))
         assert core.weight == 4
         assert core_weight_from_vector((1, 1, 0, -1, -1)) == 4
+
+    def test_weight_rejects_non_zero_sum(self):
+        # the doubled weight of (1, 0, 0) is odd, and (0, -1) would give 0
+        for nvec in ((1, 0, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                core_weight_from_vector(nvec)
 
     def test_rejects_non_core(self):
         with pytest.raises(ValueError):

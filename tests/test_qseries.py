@@ -13,7 +13,6 @@ from tcorelab.qseries import (
     Series,
     partition_count_series,
     poch_product,
-    pochhammer_inf,
     theta_jtp,
     triangular_theta,
 )
@@ -48,15 +47,15 @@ def naive_product(a: list[int], b: list[int], order: int) -> list[int]:
 
 class TestBasics:
     def test_euler_expansion(self):
-        s = pochhammer_inf(INT, 1, 1, 1, 1, 6)
+        s = poch_product(INT, 6, [(1, 1, 1, 1)])
         assert s.coeffs == [1, -1, -1, 0, 0, 1]
 
     def test_euler_matches_pentagonal(self):
-        s = pochhammer_inf(INT, 1, 1, 1, 1, 120)
+        s = poch_product(INT, 120, [(1, 1, 1, 1)])
         assert s.coeffs == pentagonal_euler(120)
 
     def test_empty_product_is_one(self):
-        s = pochhammer_inf(INT, 1, 50, 1, 1, 10)
+        s = poch_product(INT, 10, [(1, 50, 1, 1)])
         assert s.coeffs == [1] + [0] * 9
 
     def test_partition_counts(self):
@@ -76,7 +75,7 @@ class TestBasics:
 
     def test_non_invertible_factor(self):
         with pytest.raises(ValueError):
-            pochhammer_inf(INT, 1, 0, 1, -1, 10)
+            poch_product(INT, 10, [(1, 0, 1, -1)])
 
     def test_five_core_count_series(self):
         s = poch_product(INT, 20, [(1, 5, 5, 5), (1, 1, 1, -1)])
@@ -84,7 +83,7 @@ class TestBasics:
 
     def test_multiplication_against_naive(self):
         a = partition_count_series(30)
-        b = pochhammer_inf(INT, -1, 1, 2, 1, 30)
+        b = poch_product(INT, 30, [(-1, 1, 2, 1)])
         assert (a * b).coeffs == naive_product(a.coeffs, b.coeffs, 30)
 
     def test_order_truncation(self):

@@ -3,11 +3,32 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tcorelab import verify
+from tcorelab import stats, verify
 from tcorelab.cli import main
+from tcorelab.partitions import enumerate_partitions, is_t_core
+
+# The per-partition filters the weight table replaced, kept as its oracle.
+ORACLE_FILTERS = {
+    None: lambda p: True,
+    "srank-0-mod-4": lambda p: stats.srank(p) % 4 == 0,
+    "srank-2-mod-4": lambda p: stats.srank(p) % 4 == 2,
+    "is-5-core": lambda p: is_t_core(p, 5),
+    "no-repeated-even-parts": lambda p: not stats.has_repeated_even_part(p),
+}
+
+
+def direct_joint(n: int, names: tuple[str, ...], filter_name: str | None) -> Counter:
+    """One loop over the partitions of n, as every check ran before the table."""
+    fns = [stats.STATISTICS[name] for name in names]
+    keep = ORACLE_FILTERS[filter_name]
+    return Counter(tuple(fn(p) for fn in fns) for p in enumerate_partitions(n) if keep(p))
 
 
 class TestClassCounts:
@@ -33,6 +54,42 @@ class TestClassCounts:
     def test_five_core_filter(self):
         counts = verify.class_counts(9, "five-core-crank", 5, "is-5-core")
         assert counts == {k: 1 for k in range(5)}
+
+    def test_equal_split_witnesses(self):
+        # values are read mod the modulus: 7 falls in class 1
+        assert verify._equal_split({0: 2, 7: 2}, 2) is None
+        assert verify._equal_split({0: 3, 1: 2}, 2, n=5) == {"n": 5, "total": 5}
+        assert verify._equal_split({0: 3, 5: 0, 1: 1}, 2, n=4) == {
+            "n": 4, "class": 0, "count": 3, "expected": 2}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 16),
+        names=st.tuples(st.sampled_from(sorted(stats.STATISTICS)),
+                        st.sampled_from(sorted(stats.STATISTICS))),
+        filter_name=st.sampled_from([None, *verify.FILTERS]),
+        fresh=st.booleans(),
+    )
+    def test_table_matches_direct_loop(self, n, names, filter_name, fresh):
+        assume(n % 5 == 4 or "five-core-crank" not in names)
+        if fresh:
+            verify.clear_memo()
+        table = verify._weight_table(n)
+        if filter_name is None:
+            joint = table.joint(*names)
+        else:
+            column, keep = verify.FILTERS[filter_name]
+            joint = Counter()
+            for (*values, tag), c in table.joint(*names, column).items():
+                if keep(tag):
+                    joint[tuple(values)] += c
+        expected = direct_joint(n, names, filter_name)
+        assert joint == expected
+        residues = {r: 0 for r in range(5)}
+        for (value, _), c in expected.items():
+            residues[value % 5] += c
+        assert verify.class_counts(n, names[0], 5, filter_name) == residues
+        assert table.total() == sum(1 for _ in enumerate_partitions(n))
 
 
 class TestRegistry:
@@ -69,6 +126,48 @@ class TestRegistry:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             verify.search_counterexample("nope", 10)
+
+    def test_reports_do_not_depend_on_check_order(self):
+        # the checks share per-weight tables; each order starts from empty ones
+        bounds = {
+            "CHK-ANDREWS": {"max_n": 19},
+            "CHK-THM1": {"max_n": 19},
+            "CHK-THM2": {"max_n": 19, "joint_n": 12},
+            "CHK-THM3": {"max_n": 19},
+            "CHK-G2": {"order": 14},
+            "CHK-LEMMA1": {"order": 12},
+            "CHK-THM5": {"max_n": 16},
+            "CHK-COR5": {"max_n": 16},
+            "CHK-FJ": {"order": 14, "xi_order": 30},
+        }
+        runs = []
+        for order in (list(bounds), list(reversed(bounds))):
+            verify.clear_memo()
+            runs.append({cid: verify.run_check(cid, **bounds[cid]).to_json()
+                         for cid in order})
+        assert runs[0] == runs[1]
+        assert all(report["status"] == "pass" for report in runs[0].values())
+
+    def test_clear_memo_empties_every_cache(self):
+        verify.run_check("CHK-THM5", max_n=12)
+        verify.run_check("CHK-AB5JR", max_weight=20)
+        table = verify.five_core_table(30)
+        verify.clear_memo()
+        caches = [
+            (name, attr) for name, module in sys.modules.items()
+            if name == "tcorelab" or name.startswith("tcorelab.")
+            for attr, obj in vars(module).items()
+            if callable(getattr(obj, "cache_info", None))
+        ]
+        assert caches
+        for name, attr in caches:
+            assert getattr(sys.modules[name], attr).cache_info().currsize == 0, (name, attr)
+        assert verify.five_core_table(30) is not table
+
+    def test_five_core_checks_size_their_table(self):
+        # both bounds read 5-core weights past 524, the default table size
+        assert verify.run_check("CHK-REFINE", theta_n=105).status == "pass"
+        assert verify.run_check("CHK-A50", form4_n=131).status == "pass"
 
     def test_registry_ids_are_prefixed(self):
         assert all(cid.startswith("CHK-") for cid in verify.REGISTRY)
