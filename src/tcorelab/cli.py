@@ -2,7 +2,8 @@
 
 Reports are emitted as one JSON object per line on stdout; human-readable
 summaries go to stderr.  Exit codes: 0 all pass (a found counterexample for
-CHK-AB5JR counts as a pass), 1 any failure, 2 usage error.
+CHK-AB5JR counts as a pass), 1 any failure, 2 usage error (a bad argument,
+or any ValueError the command raises, printed as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -105,7 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "stat":
         p = Partition.from_text(args.partition)
         value = stats.STATISTICS[args.stat](p)
@@ -148,11 +156,7 @@ def main(argv: list[str] | None = None) -> int:
                 applicable = {k: v for k, v in overrides.items() if k in accepted}
             else:
                 applicable = overrides
-            try:
-                report = verify.run_check(check_id, **applicable)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            report = verify.run_check(check_id, **applicable)
             print(json.dumps(report.to_json()))
             ok = report.ok()
             failures += 0 if ok else 1
@@ -169,12 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if found else 1
 
     if args.command == "series":
-        try:
-            series = _series_registry(args.expr, args.order)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _emit_series(series)
+        _emit_series(_series_registry(args.expr, args.order))
         return 0
 
     return 2

@@ -163,7 +163,8 @@ def _partition_from_colors(
         if lam <= 0:
             break
         parts.append(lam)
-    return Partition(parts)
+    # distinct contents give nonincreasing positive parts
+    return Partition._trusted(parts)
 
 
 def phi1(p: Partition, t: int) -> CoreQuotient:
@@ -292,6 +293,20 @@ def capital_phi(p: Partition) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
     cq = phi1(p, 5)
     alpha = alpha_from_n(phi2(cq.core, 5))
     return alpha, cq.quotient
+
+
+def five_core_beads(
+    p: Partition,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Bead-space form of :func:`capital_phi`: (charges, bead readings) at t = 5.
+
+    The charges are the 5-core's n-vector (``alpha_from_n`` gives alpha) and
+    bead reading i is the conjugate of quotient component i, so neither the
+    core nor the quotient is built.  Needs weight 4 (mod 5).
+    """
+    if p.weight % 5 != 4:
+        raise ValueError(f"weight {p.weight} is not 4 (mod 5)")
+    return _charges_and_bead_parts(p, 5)
 
 
 def capital_phi_inv(

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import stats
-from .cores import capital_phi, capital_phi_inv, is_t_core, phi2, phi2_inv
+from .cores import (
+    _partition_from_colors,
+    alpha_from_n,
+    five_core_beads,
+    is_t_core,
+    n_from_alpha,
+    phi2,
+    phi2_inv,
+)
 from .partitions import Partition
 
 
@@ -25,22 +33,34 @@ def c1_shift(alpha: Sequence[int]) -> tuple[int, ...]:
 
 
 def c2_shift(q5: Sequence[Partition]) -> tuple[Partition, ...]:
-    """Quotient-slot permutation used by the shifted orbit map."""
+    """Quotient-slot permutation used by the shifted orbit map.
+
+    Also applies slot-wise to the raw bead readings of the quotient.
+    """
     if len(q5) != 5:
         raise ValueError("expected a 5-tuple of quotient components")
     return (q5[4], q5[2], q5[3], q5[0], q5[1])
 
 
+def _orbit_step(p: Partition, shifted: bool) -> Partition:
+    """One orbit step in bead space: rotate the alpha-vector of the charges,
+    keep the bead readings (or permute their slots when shifted) and
+    reassemble; equal to the capital_phi route without conjugating."""
+    charges, bead_parts = five_core_beads(p)
+    if shifted:
+        bead_parts = c2_shift(bead_parts)
+    charges = n_from_alpha(c1_shift(alpha_from_n(charges)))
+    return _partition_from_colors(5, charges, bead_parts)
+
+
 def orbit_map(p: Partition) -> Partition:
     """Rotate the alpha-vector, keep the quotient: crank steps by 1 mod 5."""
-    alpha, quotient = capital_phi(p)
-    return capital_phi_inv(c1_shift(alpha), quotient)
+    return _orbit_step(p, False)
 
 
 def orbit_map_s(p: Partition) -> Partition:
     """Shifted orbit map: also permutes quotient slots, preserving srank mod 4."""
-    alpha, quotient = capital_phi(p)
-    return capital_phi_inv(c1_shift(alpha), c2_shift(quotient))
+    return _orbit_step(p, True)
 
 
 def theta_vector(nvec: Sequence[int]) -> tuple[int, ...]:

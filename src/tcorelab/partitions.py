@@ -61,6 +61,15 @@ class Partition(tuple):
             prev = part
         return tuple.__new__(cls, t)
 
+    @classmethod
+    def _trusted(cls, parts: Sequence[int]) -> "Partition":
+        """Wrap parts already known to be positive and nonincreasing.
+
+        Skips validation; only for producers that are canonical by
+        construction (enumeration and bead reassembly).
+        """
+        return tuple.__new__(cls, parts)
+
     def __repr__(self) -> str:
         return f"Partition({', '.join(map(str, self))})"
 
@@ -184,7 +193,7 @@ def enumerate_partitions(n: int, *, max_n: int | None = None) -> Iterator[Partit
         return
     parts = [n]
     while True:
-        yield Partition(parts)
+        yield Partition._trusted(parts)
         # locate the rightmost part > 1, drop the tail of ones
         k = len(parts) - 1
         while k >= 0 and parts[k] == 1:

@@ -16,8 +16,13 @@ from .partitions import Partition
 
 
 def srank(p: Partition) -> int:
-    """Odd parts of p minus odd parts of its conjugate.  Always even."""
-    return p.odd_part_count() - p.conjugate().odd_part_count()
+    """Odd parts of p minus odd parts of its conjugate.  Always even.
+
+    Column j of p has an odd length exactly when lambda_{i+1} < j <= lambda_i
+    for an odd row i, so the conjugate's odd-part count is the alternating
+    sum lambda_1 - lambda_2 + lambda_3 - ... and needs no conjugate.
+    """
+    return sum(part & 1 for part in p) - sum(p[0::2]) + sum(p[1::2])
 
 
 def dyson_rank(p: Partition) -> int:
@@ -163,8 +168,8 @@ def two_quotient_rank(p: Partition) -> int:
 
 def five_core_crank(p: Partition) -> int:
     """5-core crank: 1 + sum(i * alpha_i) mod 5; needs weight 4 (mod 5)."""
-    alpha, _ = cores.capital_phi(p)
-    return (1 + sum(i * a for i, a in enumerate(alpha))) % 5
+    charges, _ = cores.five_core_beads(p)
+    return five_core_crank_from_vector(charges)
 
 
 def five_core_crank_from_vector(nvec: Sequence[int]) -> int:

@@ -766,33 +766,38 @@ def _chk_5core(params):
           max_n=49)
 def _chk_orbit(params):
     for n in range(4, params["max_n"] + 1, 5):
+        table = _weight_table(n)
+        crank = table.column("five-core-crank")
+        srank = table.column("srank")
+        # partition -> enumeration position, the row of its table entries
+        index = {p: k for k, p in enumerate(enumerate_partitions(n))}
         for shifted in (False, True):
             step = orbit_map_s if shifted else orbit_map
-            mapping = {}
-            for p in enumerate_partitions(n):
+            images = []
+            for p, k in index.items():
                 q = step(p)
-                if q.weight != n:
+                j = index.get(q)
+                if j is None:
                     return "fail", {"n": n, "shifted": shifted,
                                     "partition": list(p), "image": list(q)}
-                if (stats.five_core_crank(q) - stats.five_core_crank(p)) % 5 != 1:
+                if (crank[j] - crank[k]) % 5 != 1:
                     return "fail", {"n": n, "shifted": shifted, "reason": "crank step",
                                     "partition": list(p)}
-                if shifted and stats.srank(q) % 4 != stats.srank(p) % 4:
+                if shifted and srank[j] % 4 != srank[k] % 4:
                     return "fail", {"n": n, "reason": "srank not preserved",
                                     "partition": list(p)}
-                mapping[p] = q
-            if set(mapping.values()) != set(mapping):
+                images.append(j)
+            if len(set(images)) != len(images):
                 return "fail", {"n": n, "shifted": shifted, "reason": "not a bijection"}
-            total = len(mapping)
-            if total % 5:
+            if len(images) % 5:
                 return "fail", {"n": n, "reason": "p(n) not divisible by 5"}
-            for p in mapping:
-                q = p
+            for k, p in enumerate(index):
+                j = k
                 seen = []
                 for _ in range(5):
-                    q = mapping[q]
-                    seen.append(q)
-                if q != p or len(set(seen)) != 5:
+                    j = images[j]
+                    seen.append(j)
+                if j != k or len(set(seen)) != 5:
                     return "fail", {"n": n, "shifted": shifted, "reason": "order",
                                     "partition": list(p)}
     return "pass", None

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
-from tcorelab.cores import iter_core_vectors, phi2, phi2_inv
+from tcorelab.cores import capital_phi, capital_phi_inv, iter_core_vectors, phi2, phi2_inv
 from tcorelab.orbits import (
     c1_shift,
     c2_shift,
@@ -19,6 +20,8 @@ from tcorelab.orbits import (
 from tcorelab.partitions import Partition, enumerate_partitions
 from tcorelab.stats import core_srank_mod4, five_core_crank
 from tcorelab.cores import q_alpha
+
+from strategies import partitions_4_mod_5
 
 P = Partition
 
@@ -93,6 +96,30 @@ class TestOrbitMaps:
             orbit_map(P((3,)))
         with pytest.raises(ValueError):
             orbit(P((5,)), shifted=True)
+
+
+class TestBeadSpaceRoute:
+    """The bead-space orbit maps against the capital_phi route."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=partitions_4_mod_5())
+    def test_orbit_map_matches_capital_phi(self, p):
+        alpha, quotient = capital_phi(p)
+        assert orbit_map(p) == capital_phi_inv(c1_shift(alpha), quotient)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=partitions_4_mod_5())
+    def test_orbit_map_s_matches_capital_phi(self, p):
+        alpha, quotient = capital_phi(p)
+        assert orbit_map_s(p) == capital_phi_inv(c1_shift(alpha), c2_shift(quotient))
+
+    def test_images_are_canonical(self):
+        # reassembly skips validation, so rebuild each image through it
+        for n in (4, 9, 14, 19):
+            for p in enumerate_partitions(n):
+                for q in (orbit_map(p), orbit_map_s(p)):
+                    assert type(q) is P
+                    assert P(tuple(q)) == q
 
 
 class TestTheta:

@@ -77,6 +77,20 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Partition.from_parts([3, -1])
 
+    def test_public_constructors_still_validate(self):
+        # enumeration and bead reassembly skip validation; the public
+        # constructors keep it
+        with pytest.raises(ValueError):
+            Partition((0,))
+        with pytest.raises(ValueError):
+            Partition.from_text("a")
+
+    def test_enumeration_is_canonical(self):
+        for n in range(21):
+            for p in enumerate_partitions(n):
+                assert type(p) is Partition
+                assert Partition(tuple(p)) == p
+
     def test_text_round_trip(self):
         assert Partition.from_text("") == ()
         assert Partition.from_text("5,4,1").to_text() == "5,4,1"

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
-from tcorelab.cores import iter_core_vectors, phi1, phi2_inv
+from tcorelab.cores import capital_phi, iter_core_vectors, phi1, phi2_inv
 from tcorelab.partitions import Partition, enumerate_partitions, residue_counts
 from tcorelab.stats import (
     ag_crank,
@@ -26,6 +27,8 @@ from tcorelab.stats import (
     two_quotient_rank,
 )
 
+from strategies import partitions_4_mod_5
+
 P = Partition
 
 
@@ -42,6 +45,16 @@ class TestSrank:
                 s = srank(p)
                 assert s % 2 == 0
                 assert srank(p.conjugate()) == -s
+
+    def test_conjugate_route_exhaustive(self):
+        for n in range(30):
+            for p in enumerate_partitions(n):
+                assert srank(p) == p.odd_part_count() - p.conjugate().odd_part_count()
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=partitions_4_mod_5())
+    def test_conjugate_route_random(self, p):
+        assert srank(p) == p.odd_part_count() - p.conjugate().odd_part_count()
 
     def test_quadratic_criterion(self):
         # srank = sum(part^2 + (1-2j) part) mod 4 over rows j
@@ -165,6 +178,12 @@ class TestFiveCoreCrank:
     def test_wrong_residue(self):
         with pytest.raises(ValueError):
             five_core_crank(P((3,)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=partitions_4_mod_5())
+    def test_capital_phi_route(self, p):
+        alpha, _ = capital_phi(p)
+        assert five_core_crank(p) == (1 + sum(i * a for i, a in enumerate(alpha))) % 5
 
     def test_vector_route_agrees(self):
         for nvec, w in iter_core_vectors(5, 30):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -241,6 +244,30 @@ class TestCli:
 
     def test_series_unknown(self, capsys):
         assert main(["series", "--expr", "nope"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["stat", "--stat", "five-core-crank", "--partition", "5"],
+        ["stat", "--stat", "srank", "--partition", "a,b"],
+        ["decompose", "--t", "1", "--partition", "3,1"],
+        ["table", "--name", "table2", "--weight", "10"],
+    ])
+    def test_value_error_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "tcorelab", "stat", "--stat", "srank", "--partition", "3,1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["value"] == 0
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
