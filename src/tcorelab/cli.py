@@ -4,6 +4,8 @@ Reports are emitted as one JSON object per line on stdout; human-readable
 summaries go to stderr.  Exit codes: 0 all pass (a found counterexample for
 CHK-AB5JR counts as a pass), 1 any failure, 2 usage error (a bad argument,
 or any ValueError the command raises, printed as one ``error:`` line).
+``verify`` runs every check it is given: a check that raises ValueError
+reports status "error", prints one ``error:`` line and makes the exit code 2.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             ids = args.check
         else:
             parser.error("verify needs --check or --all")
-        failures = 0
+        code = 0
         for check_id in ids:
             if check_id in verify.REGISTRY:
                 accepted = verify.REGISTRY[check_id].defaults
@@ -158,12 +160,17 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 applicable = overrides
             report = verify.run_check(check_id, **applicable)
             print(json.dumps(report.to_json()))
+            if report.status == "error":
+                print(f"error: {check_id}: {report.witness['error']}", file=sys.stderr)
+                code = 2
+                continue
             ok = report.ok()
-            failures += 0 if ok else 1
+            if not ok:
+                code = max(code, 1)
             marker = "PASS" if ok else "FAIL"
             print(f"{marker} {check_id}: {verify.REGISTRY[check_id].summary}"
                   f" [{report.status}]", file=sys.stderr)
-        return 1 if failures else 0
+        return code
 
     if args.command == "search":
         report = verify.search_counterexample(args.family, args.max_weight)

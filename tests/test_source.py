@@ -20,3 +20,23 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+def test_checks_raise_their_mismatches():
+    # a check body passes by returning None and reports a mismatch through
+    # verify.fail; only the register wrapper builds (status, witness) pairs
+    path = next(path for path in SOURCES if path.name == "verify.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or not any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "register"
+                for d in func.decorator_list):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Return) and node.value is not None:
+                found += [f"{func.name}:{node.lineno}" for t in ast.walk(node.value)
+                          if isinstance(t, ast.Tuple) and t.elts
+                          and isinstance(t.elts[0], ast.Constant)
+                          and isinstance(t.elts[0].value, str)]
+    assert found == [], f"check bodies return status tuples at {found}"

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from tcorelab import stats, verify
 from tcorelab.cli import main
+from tcorelab.cores import core_weight_from_vector
 from tcorelab.partitions import enumerate_partitions, is_t_core
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # The per-partition filters the weight table replaced, kept as its oracle.
 ORACLE_FILTERS = {
@@ -61,9 +64,12 @@ class TestClassCounts:
     def test_equal_split_witnesses(self):
         # values are read mod the modulus: 7 falls in class 1
         assert verify._equal_split({0: 2, 7: 2}, 2) is None
-        assert verify._equal_split({0: 3, 1: 2}, 2, n=5) == {"n": 5, "total": 5}
-        assert verify._equal_split({0: 3, 5: 0, 1: 1}, 2, n=4) == {
-            "n": 4, "class": 0, "count": 3, "expected": 2}
+        with pytest.raises(verify.Mismatch) as exc:
+            verify._equal_split({0: 3, 1: 2}, 2, n=5)
+        assert exc.value.witness == {"n": 5, "total": 5}
+        with pytest.raises(verify.Mismatch) as exc:
+            verify._equal_split({0: 3, 5: 0, 1: 1}, 2, n=4)
+        assert exc.value.witness == {"n": 4, "class": 0, "count": 3, "expected": 2}
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -172,6 +178,77 @@ class TestRegistry:
         assert verify.run_check("CHK-REFINE", theta_n=105).status == "pass"
         assert verify.run_check("CHK-A50", form4_n=131).status == "pass"
 
+    def test_value_error_in_a_check_is_an_error_report(self, monkeypatch):
+        verify.clear_memo()
+        monkeypatch.setenv("TCORELAB_MAX_N", "20")
+        report = verify.run_check("CHK-RAM5", max_n=30)
+        assert report.to_json() == {
+            "id": "CHK-RAM5", "params": {"max_n": 30, "order": 200}, "status": "error",
+            "witness": {"error": "enumeration of partitions of 24 exceeds the bound 20"}}
+        assert not report.ok()
+        # not memoized: the outcome depends on the bound, not only on the parameters
+        monkeypatch.delenv("TCORELAB_MAX_N")
+        assert verify.run_check("CHK-RAM5", max_n=30).status == "pass"
+        verify.clear_memo()
+
+    def test_orbit_enumerates_each_weight_twice(self, monkeypatch):
+        # once to fill both table columns, once for the partition -> position index
+        calls = Counter()
+
+        def counting(n, *args, **kwargs):
+            calls[n] += 1
+            return enumerate_partitions(n, *args, **kwargs)
+
+        verify.clear_memo()
+        monkeypatch.setattr(verify, "enumerate_partitions", counting)
+        try:
+            assert verify.run_check("CHK-ORBIT", max_n=14).status == "pass"
+        finally:
+            verify.clear_memo()
+        assert calls == {4: 2, 9: 2, 14: 2}
+
+    @pytest.mark.parametrize("statistic", ["st-crank", "srank", "ag-crank", "two-quotient-rank"])
+    def test_fault_injected_witnesses(self, statistic, monkeypatch):
+        # reports with one statistic replaced by a constant, recorded before
+        # the checks raised their witnesses instead of returning them
+        expected = json.loads((GOLDEN / "fault_witnesses.json").read_text())[statistic]
+        verify.clear_memo()
+        monkeypatch.setitem(stats.STATISTICS, statistic, lambda p: 2)
+        try:
+            reports = {cid: verify.run_check(cid, **report["params"]).to_json()
+                       for cid, report in expected.items()}
+        finally:
+            verify.clear_memo()
+        assert reports == expected
+
+    @pytest.mark.parametrize("check_id, name, bounds, route", [
+        ("CHK-5CORE", "theta_vector", {"order": 10, "psift_order": 10, "rel_n": 10}, "theta"),
+        ("CHK-A50", "quadruple_shift_vector", {"max_arg": 40, "form4_n": 10, "map_n": 10},
+         "map"),
+    ])
+    def test_core_map_witnesses(self, check_id, name, bounds, route, monkeypatch):
+        step = getattr(verify, name)
+        first = {}
+
+        def collapsed(vec):
+            # the image of the first vector of the same weight: weight and
+            # class are kept, injectivity is lost
+            return step(first.setdefault(core_weight_from_vector(vec), vec))
+
+        for fake, witness in (
+            (lambda vec: vec, {"route": f"{route}-weight", "n": 0, "vector": [0, 0, 0, 0, 0]}),
+            (collapsed, {"route": f"{route}-injective", "n": 2}),
+        ):
+            verify.clear_memo()
+            monkeypatch.setattr(verify, name, fake)
+            try:
+                report = verify.run_check(check_id, **bounds)
+            finally:
+                verify.clear_memo()
+            assert (report.status, report.witness) == ("fail", witness)
+        monkeypatch.setattr(verify, name, step)
+        assert verify.run_check(check_id, **bounds).status == "pass"
+
     def test_registry_ids_are_prefixed(self):
         assert all(cid.startswith("CHK-") for cid in verify.REGISTRY)
         assert len(verify.REGISTRY) >= 30
@@ -213,6 +290,22 @@ class TestCli:
 
     def test_verify_unknown_check(self, capsys):
         assert main(["verify", "--check", "CHK-NOPE"]) == 2
+
+    def test_verify_reports_an_error_and_goes_on(self, capsys, monkeypatch):
+        verify.clear_memo()
+        monkeypatch.setenv("TCORELAB_MAX_N", "20")
+        argv = ["verify", "--check", "CHK-RAMBEST", "--check", "CHK-RAM5",
+                "--check", "CHK-JTP", "--max-n", "30"]
+        try:
+            assert main(argv) == 2
+        finally:
+            verify.clear_memo()
+        captured = capsys.readouterr()
+        reports = [json.loads(line) for line in captured.out.splitlines()]
+        assert [(r["id"], r["status"]) for r in reports] == [
+            ("CHK-RAMBEST", "pass"), ("CHK-RAM5", "error"), ("CHK-JTP", "pass")]
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: CHK-RAM5: enumeration of partitions of 24 exceeds the bound 20"]
 
     def test_verify_counterexample_counts_as_pass(self, capsys):
         assert main(["verify", "--check", "CHK-AB5JR"]) == 0
