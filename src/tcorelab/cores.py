@@ -323,7 +323,10 @@ def iter_core_vectors(t: int, max_weight: int) -> Iterator[tuple[tuple[int, ...]
     """Yield (n-vector, weight) for every t-core of weight <= max_weight.
 
     Depth-first over the zero-sum lattice with per-coordinate pruning on the
-    doubled weight t*||n||^2 + 2*(0,1,..,t-1).n.
+    doubled weight t*||n||^2 + 2*(0,1,..,t-1).n, walked with an explicit
+    stack of coordinate ranges.  The last coordinate is fixed by the zero
+    sum, so the doubled weight is a quadratic in the one before it, whose
+    range is solved exactly.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
@@ -334,30 +337,50 @@ def iter_core_vectors(t: int, max_weight: int) -> Iterator[tuple[tuple[int, ...]
     suffix = [0] * (t + 1)
     for i in range(t - 1, -1, -1):
         suffix[i] = suffix[i + 1] + mins[i]
-    vec = [0] * t
 
-    def rec(i: int, partial2: int, sigma: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if i == t - 1:
-            x = -sigma
-            total2 = partial2 + t * x * x + 2 * i * x
-            if 0 <= total2 <= limit2:
-                vec[i] = x
-                yield tuple(vec), total2 // 2
-            return
+    def span(i: int, partial2: int) -> range:
         # coordinate contributions may be negative, so the budget may be too;
         # infeasibility shows up as a negative discriminant
-        budget = limit2 - partial2 - suffix[i + 1]
-        disc = i * i + t * budget
+        disc = i * i + t * (limit2 - partial2 - suffix[i + 1])
         if disc < 0:
-            return
+            return range(0)
         root = isqrt(disc)
-        lo = -((i + root) // t)
-        hi = (root - i) // t
-        for x in range(lo, hi + 1):
-            vec[i] = x
-            yield from rec(i + 1, partial2 + t * x * x + 2 * i * x, sigma + x)
+        return range(-((i + root) // t), (root - i) // t + 1)
 
-    yield from rec(0, 0, 0)
+    last = t - 1
+    inner = t - 2
+    vec = [0] * t
+    # partial2[i], sigma[i]: doubled weight and sum of coordinates 0..i-1
+    partial2 = [0] * t
+    sigma = [0] * t
+    ranges = [iter(span(0, 0))] + [None] * inner
+    i = 0
+    while i >= 0:
+        if i == inner:
+            # with vec[last] = -sg - x the doubled weight is 2t x^2 + b x + c,
+            # never negative, so x runs over the roots of "<= limit2"
+            sg = sigma[i]
+            b = 2 * t * sg - 2
+            c = partial2[i] + t * sg * sg - 2 * last * sg
+            disc = b * b - 8 * t * (c - limit2)
+            if disc >= 0:
+                root = isqrt(disc)
+                for x in range(-((b + root) // (4 * t)), (root - b) // (4 * t) + 1):
+                    vec[i] = x
+                    vec[last] = -sg - x
+                    yield tuple(vec), (2 * t * x * x + b * x + c) // 2
+            i -= 1
+            continue
+        x = next(ranges[i], None)
+        if x is None:
+            i -= 1
+            continue
+        vec[i] = x
+        partial2[i + 1] = partial2[i] + t * x * x + 2 * i * x
+        sigma[i + 1] = sigma[i] + x
+        i += 1
+        if i < inner:
+            ranges[i] = iter(span(i, partial2[i]))
 
 
 def count_t_cores(n: int, t: int) -> int:

@@ -2,12 +2,16 @@
 
 A series carries its truncation order explicitly; arithmetic never looks at
 coefficients at or beyond it, and binary operations truncate to the smaller
-order.  Infinite products are built factor by factor with O(order) in-place
-passes, so no large convolutions are needed for pochhammer-style series.
+order.  Infinite products are built factor by factor: each factor
+(1 - elem*q**d) is one O(order) pass that multiplies or divides a single
+coefficient list in place, so no convolutions are needed for
+pochhammer-style series.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -102,22 +106,17 @@ class Series:
         """Multiply by (1 - elem * q**d)."""
         if d < 0:
             raise ValueError("negative exponent in factor")
-        c = self.coeffs
-        if d == 0:
-            return Series(self.ring, self.order, [x - elem * x for x in c])
-        out = list(c)
-        for n in range(d, self.order):
-            out[n] = out[n] - elem * c[n - d]
-        return Series(self.ring, self.order, out)
+        c = list(self.coeffs)
+        _mul_pass(c, self.ring, elem, d)
+        return Series(self.ring, self.order, c)
 
     def div_one_minus(self, elem, d: int) -> "Series":
         """Divide by (1 - elem * q**d), d >= 1."""
         if d < 1:
             raise ValueError("division needs a positive q-power")
-        out = list(self.coeffs)
-        for n in range(d, self.order):
-            out[n] = out[n] + elem * out[n - d]
-        return Series(self.ring, self.order, out)
+        c = list(self.coeffs)
+        _div_pass(c, self.ring, elem, d)
+        return Series(self.ring, self.order, c)
 
     def inverse(self) -> "Series":
         ring = self.ring
@@ -170,28 +169,60 @@ class Series:
         return f"Series[{self.ring.name}, O(q^{self.order})]({shown}{tail})"
 
 
+def _mul_pass(c: list, ring, elem, d: int) -> None:
+    """c *= (1 - elem * q**d) in place, d >= 0."""
+    if elem == ring.one:
+        step = operator.sub
+    elif -elem == ring.one:
+        step = operator.add
+    else:
+        def step(x, y):
+            return x - elem * y
+    # the right side reads c before the slice assignment writes it
+    c[d:] = list(map(step, c[d:], c))
+
+
+def _div_pass(c: list, ring, elem, d: int) -> None:
+    """c /= (1 - elem * q**d) in place, d >= 1: c[n] += elem * c[n - d]."""
+    order = len(c)
+    if elem == ring.one:
+        step = operator.add
+    elif -elem == ring.one:
+        def step(prev, x):
+            return x - prev
+    else:
+        def step(prev, x):
+            return x + elem * prev
+    if d * d < order:
+        # few long residue classes mod d: a running sum along each
+        for r in range(d):
+            c[r::d] = list(accumulate(c[r::d], step))
+    else:
+        # few short blocks: each length-d block adds the finished one before it
+        for k in range(d, order, d):
+            c[k : k + d] = list(map(step, c[k - d : k], c[k : k + d]))
+
+
 def poch_product(ring, order: int, factors: Iterable[tuple[object, int, int, int]]) -> Series:
     """Product of pochhammer symbols given as (elem, q_power, step, exponent).
 
     Each factor is (a; q**step)_infinity ** exponent truncated, with
     a = elem * q**q_power.  Negative exponents need q_power >= 1 so every
-    factor is invertible.
+    factor is invertible.  Every pass runs in place on one coefficient list.
     """
     s = Series.one(ring, order)
+    c = s.coeffs
     for elem, q_power, step, exponent in factors:
         if step < 1:
             raise ValueError("step must be positive")
         if exponent < 0 and q_power < 1:
             raise ValueError("non-invertible leading factor")
-        d = q_power
-        while d < order:
-            if exponent > 0:
-                for _ in range(exponent):
-                    s = s.mul_one_minus(elem, d)
-            else:
-                for _ in range(-exponent):
-                    s = s.div_one_minus(elem, d)
-            d += step
+        if exponent > 0 and q_power < 0:
+            raise ValueError("negative exponent in factor")
+        kernel = _mul_pass if exponent > 0 else _div_pass
+        for d in range(q_power, order, step):
+            for _ in range(abs(exponent)):
+                kernel(c, ring, elem, d)
     return s
 
 

@@ -10,12 +10,13 @@ Three flavours cover every identity checked by this package:
 
 Ring objects expose ``zero``, ``one`` and ``from_int``; elements implement
 ordinary operator arithmetic and compare equal to plain integers where that
-makes sense.
+makes sense, and then hash like them.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 
 class IntegerRing:
@@ -71,7 +72,14 @@ class Laurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            v = terms.get(e, 0) - c
+            if v:
+                terms[e] = v
+            else:
+                terms.pop(e, None)
+        return Laurent(self.ring, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -80,17 +88,26 @@ class Laurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        norm = self.ring._norm_exp
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        ring = self.ring
+        norm = ring._norm_exp
+        if len(b) == 1:
+            # times a monomial: shift every exponent (a bijection on the
+            # normalized exponents, so no two terms collide)
+            (e2, c2), = b.items()
+            return Laurent(ring, {norm(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()})
         out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = norm(tuple(a + b for a, b in zip(e1, e2)))
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = norm(map(add, e1, e2))
                 v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        return Laurent(self.ring, out)
+        return Laurent(ring, out)
 
     __rmul__ = __mul__
 
@@ -104,7 +121,15 @@ class Laurent:
         return bool(self.terms)
 
     def __hash__(self):
-        return hash((self.ring.names, tuple(sorted(self.terms.items()))))
+        # an element equal to an int hashes like that int
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1:
+            (exps, coeff), = terms.items()
+            if not any(exps):
+                return hash(coeff)
+        return hash((self.ring.names, tuple(sorted(terms.items()))))
 
     def unit_inverse(self) -> "Laurent":
         """Inverse of a monomial with coefficient +-1."""
@@ -139,13 +164,13 @@ class LaurentRing:
         self.names = tuple(names)
         cyclic = dict(cyclic or {})
         self.mods = tuple(cyclic.get(n) for n in self.names)
+        # exponent tuples are reduced only in rings with a cyclic variable
+        self._norm_exp = self._reduce_exp if any(self.mods) else tuple
         self.name = "laurent(" + ",".join(self.names) + ")"
         self.zero = Laurent(self, {})
         self.one = Laurent(self, {(0,) * len(self.names): 1})
 
-    def _norm_exp(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        if not any(self.mods):
-            return exps
+    def _reduce_exp(self, exps: Iterable[int]) -> tuple[int, ...]:
         return tuple(
             e % m if m else e for e, m in zip(exps, self.mods)
         )
@@ -188,53 +213,59 @@ class Cyclotomic5:
     @classmethod
     def from_five(cls, v: Sequence[int]) -> "Cyclotomic5":
         w = v[4]
-        return cls((v[0] - w, v[1] - w, v[2] - w, v[3] - w))
-
-    def _lift(self) -> tuple[int, int, int, int, int]:
-        return self.coords + (0,)
+        return _cyc5(v[0] - w, v[1] - w, v[2] - w, v[3] - w)
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, Cyclotomic5):
             return other
         if isinstance(other, int):
-            return Cyclotomic5((other, 0, 0, 0))
+            return _cyc5(other, 0, 0, 0)
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Cyclotomic5(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if type(other) is not Cyclotomic5:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self.coords
+        b0, b1, b2, b3 = other.coords
+        return _cyc5(a0 + b0, a1 + b1, a2 + b2, a3 + b3)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic5(tuple(-a for a in self.coords))
+        a0, a1, a2, a3 = self.coords
+        return _cyc5(-a0, -a1, -a2, -a3)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Cyclotomic5:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self.coords
+        b0, b1, b2, b3 = other.coords
+        return _cyc5(a0 - b0, a1 - b1, a2 - b2, a3 - b3)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a = self._lift()
-        b = other._lift()
-        out = [0] * 5
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % 5] += ai * bj
-        return Cyclotomic5.from_five(out)
+        if type(other) is not Cyclotomic5:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # the cyclic convolution of (a0..a3, 0) and (b0..b3, 0), reduced by
+        # its xi^4 coordinate w
+        a0, a1, a2, a3 = self.coords
+        b0, b1, b2, b3 = other.coords
+        w = a1 * b3 + a2 * b2 + a3 * b1
+        return _cyc5(
+            a0 * b0 + a2 * b3 + a3 * b2 - w,
+            a0 * b1 + a1 * b0 + a3 * b3 - w,
+            a0 * b2 + a1 * b1 + a2 * b0 - w,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - w,
+        )
 
     __rmul__ = __mul__
 
@@ -248,6 +279,10 @@ class Cyclotomic5:
         return any(self.coords)
 
     def __hash__(self):
+        # an element equal to an int hashes like that int
+        a0, a1, a2, a3 = self.coords
+        if not (a1 or a2 or a3):
+            return hash(a0)
         return hash(self.coords)
 
     def __repr__(self):
@@ -258,6 +293,13 @@ class Cyclotomic5:
             if c:
                 bits.append(f"{c}" + (f"*xi^{k}" if k else ""))
         return " + ".join(bits)
+
+
+def _cyc5(a0: int, a1: int, a2: int, a3: int) -> Cyclotomic5:
+    """Trusted constructor for internal results: four ints, no validation."""
+    elem = object.__new__(Cyclotomic5)
+    elem.coords = (a0, a1, a2, a3)
+    return elem
 
 
 class Cyclotomic5Ring:

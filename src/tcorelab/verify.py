@@ -332,25 +332,33 @@ def _five_core_bg_counts(max_weight: int) -> dict[tuple[int, int], int]:
 
 
 def _alpha_form_counts(order: int) -> list[int]:
-    """Number of integer 5-tuples with sum 1 and Q(alpha) = k, k < order."""
+    """Number of integer 5-tuples with sum 1 and Q(alpha) = k, k < order.
+
+    2Q is the cyclic sum of (a_i - a_{i+1})^2, so every square is below
+    2*order: a1..a3 stay within that distance of the coordinate before, and
+    a branch ends once its partial sum reaches 2*order.  a0 runs over the box
+    |a0| <= isqrt(2*order) + 2, which holds every tuple with Q < order.
+    """
     counts = [0] * order
-    bound = isqrt(2 * order) + 2
-    rng = range(-bound, bound + 1)
-    for a0 in rng:
-        for a1 in rng:
-            # Q >= ((a0-a1)^2)/2 prune is weak; rely on the inner bound
-            for a2 in rng:
-                for a3 in rng:
+    limit2 = 2 * order
+    bound = isqrt(limit2) + 2
+    for a0 in range(-bound, bound + 1):
+        for a1 in _near(a0, limit2):
+            s1 = (a0 - a1) ** 2
+            for a2 in _near(a1, limit2 - s1):
+                s2 = s1 + (a1 - a2) ** 2
+                for a3 in _near(a2, limit2 - s2):
                     a4 = 1 - a0 - a1 - a2 - a3
-                    if abs(a4) > bound:
-                        continue
-                    alpha = (a0, a1, a2, a3, a4)
-                    twice_q = sum(
-                        (alpha[i] - alpha[(i + 1) % 5]) ** 2 for i in range(5)
-                    )
-                    if twice_q % 2 == 0 and twice_q // 2 < order:
+                    twice_q = s2 + (a2 - a3) ** 2 + (a3 - a4) ** 2 + (a4 - a0) ** 2
+                    if twice_q < limit2:
                         counts[twice_q // 2] += 1
     return counts
+
+
+def _near(a: int, room: int) -> range:
+    """The b with (a - b)^2 < room."""
+    r = isqrt(room - 1) if room > 0 else -1
+    return range(a - r, a + r + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +590,7 @@ def _chk_tcoregf(params):
         vec_counts = [0] * order
         for vec, w in iter_core_vectors(t, order - 1):
             vec_counts[w] += 1
-            bt = sum(i * x for i, x in enumerate(vec))
+            bt = sum(map(operator.mul, range(t), vec))
             if (w - bt) % t:
                 fail({"t": t, "vector": list(vec), "reason": "weight residue mismatch"})
         if (n := series.first_difference(Series(INT, order, vec_counts))) is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -218,7 +219,47 @@ class TestCapitalPhi:
             capital_phi(Partition((3,)))
 
 
+def recursive_core_vectors(t: int, max_weight: int):
+    """Reference walk: one recursive generator per coordinate, checking the
+    doubled weight of every candidate last coordinate."""
+    if max_weight < 0:
+        return
+    limit2 = 2 * max_weight
+    mins = [min(t * x * x + 2 * i * x for x in (-1, 0, 1)) for i in range(t)]
+    suffix = [sum(mins[i:]) for i in range(t + 1)]
+    vec = [0] * t
+
+    def rec(i, partial2, sigma):
+        if i == t - 1:
+            x = -sigma
+            total2 = partial2 + t * x * x + 2 * i * x
+            if 0 <= total2 <= limit2:
+                vec[i] = x
+                yield tuple(vec), total2 // 2
+            return
+        disc = i * i + t * (limit2 - partial2 - suffix[i + 1])
+        if disc < 0:
+            return
+        root = math.isqrt(disc)
+        for x in range(-((i + root) // t), (root - i) // t + 1):
+            vec[i] = x
+            yield from rec(i + 1, partial2 + t * x * x + 2 * i * x, sigma + x)
+
+    yield from rec(0, 0, 0)
+
+
 class TestCounting:
+    @pytest.mark.parametrize("t", range(2, 10))
+    def test_walk_matches_recursive_reference(self, t):
+        top = {2: 60, 3: 50, 4: 40, 5: 35, 6: 30, 7: 25, 8: 20, 9: 18}[t]
+        for max_weight in (-1, 0, 1, 2, 5, top):
+            assert list(iter_core_vectors(t, max_weight)) == list(
+                recursive_core_vectors(t, max_weight))
+
+    def test_bad_t(self):
+        with pytest.raises(ValueError):
+            list(iter_core_vectors(1, 5))
+
     def test_two_cores_are_staircases(self):
         triangulars = {k * (k + 1) // 2 for k in range(12)}
         for n in range(41):

@@ -1,12 +1,16 @@
 """Truncated series arithmetic against independent oracles.
 
 The pentagonal-number expansion of (q;q)_infinity and a naive polynomial
-multiplication serve as oracles for the product machinery.
+multiplication serve as oracles for the product machinery; explicit factor
+polynomials multiplied and inverted by ``Series`` arithmetic are the oracle
+for the in-place pass kernel of ``poch_product``.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcorelab.partitions import enumerate_partitions
 from tcorelab.qseries import (
@@ -16,7 +20,9 @@ from tcorelab.qseries import (
     theta_jtp,
     triangular_theta,
 )
-from tcorelab.rings import CYC5, INT, LaurentRing
+from tcorelab.rings import CYC5, INT, Cyclotomic5, LaurentRing, fourth_root_ring
+
+Y4 = fourth_root_ring()
 
 
 def pentagonal_euler(order: int) -> list[int]:
@@ -43,6 +49,83 @@ def naive_product(a: list[int], b: list[int], order: int) -> list[int]:
         for j, bj in enumerate(b[: order - i]):
             out[i + j] += ai * bj
     return out
+
+
+def factor_polynomial(ring, order: int, elem, d: int) -> Series:
+    """1 - elem * q**d as an explicit series."""
+    poly = Series.one(ring, order)
+    if d < order:
+        poly.coeffs[d] = poly.coeffs[d] - elem
+    return poly
+
+
+def oracle_product(ring, order: int, factors) -> Series:
+    """poch_product through Series.__mul__ and Series.inverse only."""
+    out = Series.one(ring, order)
+    for elem, q_power, step, exponent in factors:
+        for d in range(q_power, order, step):
+            poly = factor_polynomial(ring, order, elem, d)
+            if exponent < 0:
+                poly = poly.inverse()
+            for _ in range(abs(exponent)):
+                out = out * poly
+    return out
+
+
+RINGS = {
+    "int": (INT, st.integers(min_value=-3, max_value=3)),
+    "cyc5": (CYC5, st.tuples(*[st.integers(min_value=-2, max_value=2)] * 4).map(Cyclotomic5)
+             | st.sampled_from([CYC5.xi(k) for k in range(5)] + [-CYC5.one])),
+    "y4": (Y4, st.builds(lambda c, e: Y4.monomial(c, y=e),
+                         st.integers(min_value=-2, max_value=2),
+                         st.integers(min_value=0, max_value=3))
+           | st.builds(lambda a, b: a + b * Y4.monomial(y=1),
+                       st.integers(min_value=-2, max_value=2),
+                       st.integers(min_value=-2, max_value=2))),
+}
+
+
+@st.composite
+def factor_lists(draw, elems, order):
+    factors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        exponent = draw(st.integers(min_value=-3, max_value=3))
+        q_power = draw(st.integers(min_value=0 if exponent >= 0 else 1, max_value=order))
+        step = draw(st.integers(min_value=1, max_value=order))
+        factors.append((draw(elems), q_power, step, exponent))
+    return factors
+
+
+class TestPassKernel:
+    @given(data=st.data(), ring_name=st.sampled_from(sorted(RINGS)),
+           order=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=150, deadline=None)
+    def test_poch_product_against_explicit_factors(self, data, ring_name, order):
+        ring, elems = RINGS[ring_name]
+        factors = data.draw(factor_lists(elems, order))
+        assert poch_product(ring, order, factors).coeffs == oracle_product(ring, order, factors).coeffs
+
+    @given(data=st.data(), ring_name=st.sampled_from(sorted(RINGS)),
+           order=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=100, deadline=None)
+    def test_single_passes_copy(self, data, ring_name, order):
+        ring, elems = RINGS[ring_name]
+        s = Series(ring, order, data.draw(st.lists(elems, min_size=order, max_size=order)))
+        before = list(s.coeffs)
+        elem = data.draw(elems | st.sampled_from([ring.one, -ring.one]))
+        d = data.draw(st.integers(min_value=0, max_value=order + 1))
+        poly = factor_polynomial(ring, order, elem, d)
+        assert s.mul_one_minus(elem, d).coeffs == (s * poly).coeffs
+        assert s.coeffs == before
+        if d >= 1:
+            assert s.div_one_minus(elem, d).coeffs == (s * poly.inverse()).coeffs
+            assert s.coeffs == before
+
+    def test_blockwise_division_at_large_steps(self):
+        # steps with step*step >= order divide block by block
+        order = 50
+        factors = [(2, 7, 9, -2), (-1, 8, 20, -1), (1, 30, 1, -3)]
+        assert poch_product(INT, order, factors).coeffs == oracle_product(INT, order, factors).coeffs
 
 
 class TestBasics:

@@ -1,13 +1,45 @@
-"""Coefficient rings: exactness, reduction rules, zero tests."""
+"""Coefficient rings: exactness, reduction rules, zero tests.
+
+The element arithmetic uses closed formulas (Cyclotomic5) and a monomial
+shift (Laurent); the lift-and-convolve product and the generic double-loop
+product below are their reference routes.
+"""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcorelab.rings import CYC5, INT, Cyclotomic5, LaurentRing, fourth_root_ring
 
 XY = LaurentRing(("x", "y"))
+XW = LaurentRing(("x", "w"), cyclic={"w": 4})
+
+
+def lift(a: Cyclotomic5) -> list[int]:
+    return list(a.coords) + [0]
+
+
+def convolve_cyc5(a: Cyclotomic5, b: Cyclotomic5) -> Cyclotomic5:
+    """Reference product: lift both to five coordinates, convolve cyclically,
+    reduce by the xi^4 coordinate."""
+    out = [0] * 5
+    for i, ai in enumerate(lift(a)):
+        for j, bj in enumerate(lift(b)):
+            out[(i + j) % 5] += ai * bj
+    return Cyclotomic5.from_five(out)
+
+
+def double_loop_laurent(a, b):
+    """Reference product: every pair of terms, exponents added and normalized."""
+    ring = a.ring
+    total = ring.zero
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = ring._norm_exp(tuple(x + y for x, y in zip(e1, e2)))
+            total = total + ring.monomial(c1 * c2, **dict(zip(ring.names, exps)))
+    return total
 
 
 def laurent_elems(ring):
@@ -23,6 +55,14 @@ def laurent_elems(ring):
 
 
 cyc_elems = st.tuples(*([st.integers(min_value=-6, max_value=6)] * 4)).map(Cyclotomic5)
+
+
+def monomials(ring):
+    # a single term on either side takes the monomial-shift route
+    exps = st.integers(min_value=-5, max_value=5)
+    return st.builds(lambda c, e: ring.monomial(c, **dict(zip(ring.names, e))),
+                     st.integers(min_value=-5, max_value=5),
+                     st.tuples(*([exps] * len(ring.names))))
 
 
 class TestLaurent:
@@ -59,6 +99,38 @@ class TestLaurent:
         assert a + XY.zero == a
         assert a * XY.one == a
 
+    @given(data=st.data(), ring=st.sampled_from([XY, XW]))
+    @settings(max_examples=100, deadline=None)
+    def test_product_against_double_loop(self, data, ring):
+        elems = laurent_elems(ring) | monomials(ring)
+        a = data.draw(elems)
+        b = data.draw(elems | st.integers(min_value=-3, max_value=3).map(ring.from_int))
+        assert (a * b).terms == double_loop_laurent(a, b).terms
+        assert (b * a).terms == double_loop_laurent(a, b).terms
+        assert (a * 3).terms == double_loop_laurent(a, ring.from_int(3)).terms
+
+    @given(a=laurent_elems(XW), b=laurent_elems(XW))
+    @settings(max_examples=60, deadline=None)
+    def test_difference_is_sum_with_negation(self, a, b):
+        assert (a - b).terms == (a + (-b)).terms
+        assert (a - a).terms == {}
+        assert (a - 2).terms == (a + XW.from_int(-2)).terms
+
+    def test_hash_agrees_with_int_equality(self):
+        for ring in (XY, XW):
+            assert ring.one == 1 and len({ring.one, 1}) == 1
+            assert ring.zero == 0 and len({ring.zero, 0}) == 1
+            assert hash(ring.from_int(-7)) == hash(-7)
+
+    @given(a=laurent_elems(XY))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_elements_hash_alike(self, a):
+        copy = XY.zero + a
+        assert hash(copy) == hash(a)
+        for k in range(-5, 6):
+            if a == k:
+                assert hash(a) == hash(k)
+
 
 class TestCyclotomic5:
     def test_power_sum_vanishes(self):
@@ -91,6 +163,38 @@ class TestCyclotomic5:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * CYC5.one == a
+
+    @given(a=cyc_elems, b=cyc_elems)
+    @settings(max_examples=100, deadline=None)
+    def test_formulas_against_lifted_arithmetic(self, a, b):
+        assert (a * b).coords == convolve_cyc5(a, b).coords
+        lifted_sum = [x + y for x, y in zip(lift(a), lift(b))]
+        lifted_diff = [x - y for x, y in zip(lift(a), lift(b))]
+        assert (a + b).coords == Cyclotomic5.from_five(lifted_sum).coords
+        assert (a - b).coords == Cyclotomic5.from_five(lifted_diff).coords
+        assert (-a).coords == Cyclotomic5.from_five([-x for x in lift(a)]).coords
+        assert (a * 3).coords == (3 * a).coords == convolve_cyc5(a, CYC5.from_int(3)).coords
+        assert (2 - a).coords == (CYC5.from_int(2) - a).coords
+
+    def test_public_constructor_validates(self):
+        with pytest.raises(ValueError):
+            Cyclotomic5((1, 2, 3))
+        with pytest.raises(ValueError):
+            Cyclotomic5((1, 2, 3, 4, 5))
+
+    def test_hash_agrees_with_int_equality(self):
+        assert CYC5.one == 1 and len({CYC5.one, 1}) == 1
+        assert CYC5.zero == 0 and len({CYC5.zero, 0}) == 1
+        assert hash(CYC5.from_int(-9)) == hash(-9)
+        assert hash(Cyclotomic5.from_five((3, 1, 1, 1, 1))) == hash(2)
+
+    @given(a=cyc_elems)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_elements_hash_alike(self, a):
+        for k in range(-6, 7):
+            if a == k:
+                assert hash(a) == hash(k)
+        assert hash(a) == hash(Cyclotomic5(a.coords))
 
 
 def test_integer_ring_protocol():

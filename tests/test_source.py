@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,21 @@ def test_checks_raise_their_mismatches():
                           and isinstance(t.elts[0], ast.Constant)
                           and isinstance(t.elts[0].value, str)]
     assert found == [], f"check bodies return status tuples at {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_stdlib_only(path):
+    # the runtime is stdlib-only with exact integers: no numpy or other
+    # third-party package, even where one is installed
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside += [f"{name}:{node.lineno}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == [], f"{path.name} imports non-stdlib modules: {outside}"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -99,6 +101,28 @@ class TestClassCounts:
             residues[value % 5] += c
         assert verify.class_counts(n, names[0], 5, filter_name) == residues
         assert table.total() == sum(1 for _ in enumerate_partitions(n))
+
+
+def alpha_box_counts(order: int) -> list[int]:
+    """Reference for verify._alpha_form_counts: every 5-tuple of the box
+    |a_i| <= isqrt(2*order) + 2 with sum 1, no pruning."""
+    counts = [0] * order
+    bound = math.isqrt(2 * order) + 2
+    box = range(-bound, bound + 1)
+    for a0, a1, a2, a3 in itertools.product(box, repeat=4):
+        a4 = 1 - a0 - a1 - a2 - a3
+        if abs(a4) > bound:
+            continue
+        alpha = (a0, a1, a2, a3, a4)
+        twice_q = sum((alpha[i] - alpha[(i + 1) % 5]) ** 2 for i in range(5))
+        if twice_q % 2 == 0 and twice_q // 2 < order:
+            counts[twice_q // 2] += 1
+    return counts
+
+
+def test_alpha_form_counts_match_the_box():
+    for order in range(1, 41):
+        assert verify._alpha_form_counts(order) == alpha_box_counts(order), order
 
 
 class TestRegistry:
