@@ -5,7 +5,6 @@ from .cores import (
     alpha_from_n,
     capital_phi,
     capital_phi_inv,
-    count_t_cores,
     n_from_alpha,
     phi1,
     phi1_inv,

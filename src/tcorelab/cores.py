@@ -62,14 +62,6 @@ class ColorWords:
     base_region: int
     rows: tuple[str, ...]
 
-    def letter(self, color: int, region: int) -> str:
-        k = region - self.base_region
-        if k < 0:
-            return "E"
-        if k >= len(self.rows[color]):
-            return "N"
-        return self.rows[color][k]
-
     def last_exposed_region(self, color: int) -> int:
         row = self.rows[color]
         for k in range(len(row) - 1, -1, -1):
@@ -381,13 +373,6 @@ def iter_core_vectors(t: int, max_weight: int) -> Iterator[tuple[tuple[int, ...]
         i += 1
         if i < inner:
             ranges[i] = iter(span(i, partial2[i]))
-
-
-def count_t_cores(n: int, t: int) -> int:
-    """Number of t-cores of weight n, by n-vector enumeration."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(1 for _, w in iter_core_vectors(t, n) if w == n)
 
 
 def count_t_cores_by_filter(n: int, t: int) -> int:

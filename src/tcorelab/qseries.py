@@ -155,14 +155,6 @@ class Series:
             limit = n
         return next((k for k in range(limit) if self.coeffs[k] != other.coeffs[k]), None)
 
-    def eq_upto(self, other: "Series", n: int | None = None) -> bool:
-        return self.first_difference(other, n) is None
-
-    def is_zero_upto(self, n: int | None = None) -> bool:
-        limit = self.order if n is None else min(n, self.order)
-        zero = self.ring.zero
-        return all(self.coeffs[k] == zero for k in range(limit))
-
     def __repr__(self):
         shown = ", ".join(repr(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 8 else ""

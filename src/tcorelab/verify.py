@@ -16,9 +16,10 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat, starmap, tee
 from math import isqrt
-from typing import Callable, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 from . import cores, stats, tables
 from .cores import (
@@ -160,11 +161,9 @@ def run_all(**overrides) -> list[CheckReport]:
 
 def clear_memo() -> None:
     """Forget every report and every process-wide table."""
-    global _five_core
     _MEMO.clear()
     _weight_table.cache_clear()
-    _five_core = None
-    _five_core_bg_counts.cache_clear()
+    _core_tally.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -281,54 +280,66 @@ def _equal_split(counts: dict[int, int], modulus: int, **where) -> None:
             fail({**where, "class": k, "count": residues[k], "expected": share})
 
 
-@dataclass(frozen=True)
-class FiveCoreTable:
-    """Aggregated data over all 5-core n-vectors up to a weight limit."""
-
-    limit: int
-    count: dict
-    by_srank: dict          # (weight, srank mod 4) -> count
-    by_crank: dict          # (weight = 4 mod 5, c5) -> count
-    by_srank_crank: dict    # (weight, srank mod 4, c5) -> count
+def _vectors(walk: Iterator) -> Iterator:
+    return map(operator.itemgetter(0), walk)
 
 
-_five_core: FiveCoreTable | None = None
+def _five_core_crank_at(vec: tuple[int, ...], w: int) -> int | None:
+    # the crank is defined on the 5-cores of weight 4 (mod 5) only
+    return stats.five_core_crank_from_vector(vec) if w % 5 == 4 else None
 
 
-def five_core_table(limit: int = 524) -> FiveCoreTable:
-    """Aggregates over the 5-cores of weight <= limit.
+def _charge_residues(t: int, walk: Iterator) -> Iterator:
+    """(weight - (0,1,..,t-1).n) mod t along the walk, which the weight
+    formula makes 0."""
+    vecs, weights = tee(walk)
+    dots = map(sum, map(map, repeat(operator.mul), repeat(range(t)), _vectors(vecs)))
+    gaps = map(operator.sub, map(operator.itemgetter(1), weights), dots)
+    return map(operator.mod, gaps, repeat(t))
 
-    The largest table built so far serves every request it covers.  A new
-    table runs up to the next weight 4 (mod 5), so bounds that differ by
-    less than five share one table.
+
+# Columns of the t-core tallies.  Each entry maps t and a stream of
+# (n-vector, weight) pairs to the stream of its values, so a fill runs in
+# C-level iterators where it can.  Entries are looked up when a tally is
+# filled, and the statistics when an entry runs, like COLUMNS.
+CORE_COLUMNS: dict[str, Callable[[int, Iterator], Iterator]] = {
+    "srank-mod-4": lambda t, walk: map(partial(stats.core_srank_mod4, t), _vectors(walk)),
+    "five-core-crank": lambda t, walk: starmap(_five_core_crank_at, walk),
+    "bg-rank": lambda t, walk: map(stats.bg_rank, map(phi2_inv, _vectors(walk))),
+    "charge-residue": _charge_residues,
+}
+
+
+def core_tally(t: int, limit: int, *names: str) -> Counter:
+    """Counts of the (weight, *values) tuples that the named CORE_COLUMNS
+    take over the t-cores of weight <= limit.
+
+    One n-vector walk fills each tally, and the tally is kept for the life
+    of the process; do not mutate it.  The walk runs up to the next weight
+    t-1 (mod t), so bounds that differ by less than t share one tally: it
+    may hold weights past `limit`, and each reader stays within its own
+    bound.
     """
-    global _five_core
-    if _five_core is not None and _five_core.limit >= limit:
-        return _five_core
-    limit += (4 - limit) % 5
-    count: Counter = Counter()
-    by_srank: Counter = Counter()
-    by_crank: Counter = Counter()
-    by_both: Counter = Counter()
-    for vec, w in iter_core_vectors(5, limit):
-        count[w] += 1
-        s = stats.core_srank_mod4(5, vec)
-        by_srank[(w, s)] += 1
-        if w % 5 == 4:
-            c = stats.five_core_crank_from_vector(vec)
-            by_crank[(w, c)] += 1
-            by_both[(w, s, c)] += 1
-    _five_core = FiveCoreTable(limit, dict(count), dict(by_srank), dict(by_crank), dict(by_both))
-    return _five_core
+    return _core_tally(t, limit + (t - 1 - limit) % t, names)
 
 
 @lru_cache(maxsize=None)
-def _five_core_bg_counts(max_weight: int) -> dict[tuple[int, int], int]:
-    """(weight, BG-rank) tally over 5-cores, built from actual partitions."""
-    tally: Counter = Counter()
-    for vec, w in iter_core_vectors(5, max_weight):
-        tally[(w, stats.bg_rank(phi2_inv(vec)))] += 1
-    return dict(tally)
+def _core_tally(t: int, top: int, names: tuple[str, ...]) -> Counter:
+    fills = [CORE_COLUMNS[name] for name in names]
+    # one streamed walk: the copies advance together, no vector is kept
+    walk, *copies = tee(iter_core_vectors(t, top), len(fills) + 1)
+    columns = [fill(t, copy) for fill, copy in zip(fills, copies)]
+    return Counter(zip(map(operator.itemgetter(1), walk), *columns))
+
+
+def _sum_down(tally: Counter, *positions: int) -> Counter:
+    """The tally summed down to the key entries at `positions` (a single
+    position keys by that entry alone)."""
+    out: Counter = Counter()
+    pick = operator.itemgetter(*positions)
+    for key, c in tally.items():
+        out[pick(key)] += c
+    return out
 
 
 def _alpha_form_counts(order: int) -> list[int]:
@@ -366,6 +377,9 @@ def _near(a: int, room: int) -> range:
 
 
 def _progression_check(step: int, offset: int, max_n: int, modulus: int, order: int):
+    last = max_n - (max_n - offset) % step  # the largest step*k + offset <= max_n
+    if last >= order:
+        raise ValueError(f"max_n {max_n} reaches p({last}), past the series order {order}")
     series = partition_count_series(order)
     for n in range(offset, max_n + 1, step):
         total = _weight_table(n).total()
@@ -584,18 +598,17 @@ def _srank_class_split(max_n: int, name: str) -> None:
 @register("CHK-TCOREGF", "t-core counts: series, n-vector and enumeration agree",
           order=200, enum_n=30, t_min=2, t_max=7)
 def _chk_tcoregf(params):
-    order = params["order"]
+    order, enum_n = params["order"], params["enum_n"]
+    top = max(order - 1, enum_n)
     for t in range(params["t_min"], params["t_max"] + 1):
         series = poch_product(INT, order, [(1, t, t, t), (1, 1, 1, -1)])
-        vec_counts = [0] * order
-        for vec, w in iter_core_vectors(t, order - 1):
-            vec_counts[w] += 1
-            bt = sum(map(operator.mul, range(t), vec))
-            if (w - bt) % t:
-                fail({"t": t, "vector": list(vec), "reason": "weight residue mismatch"})
+        tally = core_tally(t, top, "charge-residue")
+        if off := [w for w, residue in tally if residue and w <= top]:
+            fail({"t": t, "weight": min(off), "reason": "weight residue mismatch"})
+        vec_counts = [tally[(n, 0)] for n in range(top + 1)]
         if (n := series.first_difference(Series(INT, order, vec_counts))) is not None:
             fail({"t": t, "n": n, "series": series.coeff(n), "vectors": vec_counts[n]})
-        for n in range(params["enum_n"] + 1):
+        for n in range(enum_n + 1):
             filtered = count_t_cores_by_filter(n, t)
             if filtered != vec_counts[n]:
                 fail({"t": t, "n": n, "filtered": filtered, "vectors": vec_counts[n]})
@@ -714,18 +727,19 @@ def _chk_g3(params):
 
 
 def _core_map_bijection(route: str, top: int, step, scale: int, shift: int,
-                        table: FiveCoreTable, classes: dict, tests) -> None:
-    """Fail unless, for each n <= top, `step` maps the 5-core n-vectors of
-    weight n one-to-one onto the class-0 5-cores of weight scale*n + shift
-    (the (weight, 0) entries of `classes`), every image passing each
-    (name, test) in `tests`.  Witness routes are `route` + -weight, -name,
-    -injective or -surjective."""
+                        count: Counter, classes: Counter, tests) -> None:
+    """Fail unless, for each n <= top, `step` maps the count[n] 5-core
+    n-vectors of weight n one-to-one onto the class-0 5-cores of weight
+    scale*n + shift (the (weight, 0) entries of `classes`), every image
+    passing each (name, test) in `tests`.  Witness routes are `route` +
+    -weight, -name, -injective or -surjective."""
+    by_weight: dict[int, list] = {}
+    for vec, w in iter_core_vectors(5, top):
+        by_weight.setdefault(w, []).append(vec)
     for n in range(top + 1):
         weight = scale * n + shift
         images = set()
-        for vec, w in iter_core_vectors(5, n):
-            if w != n:
-                continue
+        for vec in by_weight.get(n, ()):
             img = step(vec)
             if core_weight_from_vector(img) != weight:
                 fail({"route": f"{route}-weight", "n": n, "vector": list(vec)})
@@ -733,9 +747,9 @@ def _core_map_bijection(route: str, top: int, step, scale: int, shift: int,
                 if not holds(img):
                     fail({"route": f"{route}-{name}", "n": n, "vector": list(vec)})
             images.add(img)
-        if len(images) != table.count.get(n, 0):
+        if len(images) != count[n]:
             fail({"route": f"{route}-injective", "n": n})
-        if len(images) != classes.get((weight, 0), 0):
+        if len(images) != classes[(weight, 0)]:
             fail({"route": f"{route}-surjective", "n": n})
 
 
@@ -744,22 +758,25 @@ def _core_map_bijection(route: str, top: int, step, scale: int, shift: int,
 def _chk_5core(params):
     order = params["order"]
     theta_n = 20  # the theta bijection is checked vector by vector up to here
+    if order < 1:
+        raise ValueError(f"CHK-5CORE needs order >= 1, got {order}")
     limit = 5 * max(order - 2, params["rel_n"], theta_n) + 4
-    table = five_core_table(limit)
+    tally = core_tally(5, limit, "srank-mod-4", "five-core-crank")
+    count, by_crank = _sum_down(tally, 0), _sum_down(tally, 0, 2)
     # alpha-form sum equals the sifted 5-core counts, both by direct
     # enumeration of alpha space and through the product series
     alpha_counts = _alpha_form_counts(order)
     if alpha_counts[0] != 0:
         fail({"route": "alpha-form", "reason": "Q(alpha)=0 attained"})
     for k in range(1, order):
-        a5 = table.count.get(5 * k - 1, 0)
+        a5 = count[5 * k - 1]
         if alpha_counts[k] != a5:
             fail({"route": "alpha-form", "Q": k, "alpha_count": alpha_counts[k], "a5": a5})
     gf_order = 5 * order
     core_gf = poch_product(INT, gf_order, [(1, 5, 5, 5), (1, 1, 1, -1)])
     sifted = core_gf.sift(5, 4)
     for n in range(min(order - 1, sifted.order)):
-        if sifted.coeff(n) != table.count.get(5 * n + 4, 0):
+        if sifted.coeff(n) != count[5 * n + 4]:
             fail({"route": "series-sift", "n": n})
     # p(5n+4) generating function through the alpha sum
     po = params["psift_order"]
@@ -769,16 +786,16 @@ def _chk_5core(params):
     expect_same(lhs, rhs, po, route="p-sift")
     # a5(5n+4) = 5 a5(n); crank classes are equal fifths
     for n in range(params["rel_n"] + 1):
-        if table.count.get(5 * n + 4, 0) != 5 * table.count.get(n, 0):
+        if count[5 * n + 4] != 5 * count[n]:
             fail({"route": "5corerel", "n": n})
     for w in range(4, limit + 1, 5):
-        crank = {j: table.by_crank.get((w, j), 0) for j in range(5)}
+        crank = {j: by_crank[(w, j)] for j in range(5)}
         _equal_split(crank, 5, route="crank-classes", weight=w)
     # theta: explicit bijection onto crank-0 5-cores of 5n+4
-    _core_map_bijection("theta", theta_n, theta_vector, 5, 4, table, table.by_crank,
+    _core_map_bijection("theta", theta_n, theta_vector, 5, 4, count, by_crank,
                         [("crank", lambda v: stats.five_core_crank_from_vector(v) == 0)])
     for n in range(params["rel_n"] + 1):
-        if table.count.get(n, 0) != table.by_crank.get((5 * n + 4, 0), 0):
+        if count[n] != by_crank[(5 * n + 4, 0)]:
             fail({"route": "5corerel2", "n": n})
 
 
@@ -879,20 +896,21 @@ def _chk_elegant(params):
           refine_n=100, theta_n=104, invar_n=25)
 def _chk_refine(params):
     limit = 5 * max(params["refine_n"], params["theta_n"]) + 4
-    table = five_core_table(limit)
+    tally = core_tally(5, limit, "srank-mod-4", "five-core-crank")
+    by_srank = _sum_down(tally, 0, 1)
     for w in range(4, limit + 1, 5):
         for i in (0, 2):
-            crank = {j: table.by_srank_crank.get((w, i, j), 0) for j in range(5)}
+            crank = {j: tally[(w, i, j)] for j in range(5)}
             _equal_split(crank, 5, route="refine", weight=w, srank_class=i)
     for n in range(params["theta_n"] + 1):
         for i in (0, 2):
-            lhs = table.by_srank.get((n, i), 0)
-            rhs = table.by_srank_crank.get((5 * n + 4, i, 0), 0)
+            lhs = by_srank[(n, i)]
+            rhs = tally[(5 * n + 4, i, 0)]
             if lhs != rhs:
                 fail({"route": "refine2", "n": n, "srank_class": i, "lhs": lhs, "rhs": rhs})
     for n in range(params["refine_n"] + 1):
         for i in (0, 2):
-            if table.by_srank.get((5 * n + 4, i), 0) != 5 * table.by_srank.get((n, i), 0):
+            if by_srank[(5 * n + 4, i)] != 5 * by_srank[(n, i)]:
                 fail({"route": "refine3", "n": n, "srank_class": i})
     # theta preserves srank mod 4; the cubic difference identity holds exactly
     for vec, w in iter_core_vectors(5, params["theta_n"]):
@@ -916,21 +934,23 @@ def _chk_refine(params):
           max_arg=520, form4_n=100, map_n=25)
 def _chk_a50(params):
     top = params["max_arg"]
-    table = five_core_table(max(top, 4 * max(params["form4_n"], params["map_n"]) + 3))
+    tally = core_tally(5, max(top, 4 * max(params["form4_n"], params["map_n"]) + 3),
+                       "srank-mod-4", "five-core-crank")
+    count, by_srank = _sum_down(tally, 0), _sum_down(tally, 0, 1)
     for m in range(top + 1):
-        a50 = table.by_srank.get((m, 0), 0)
+        a50 = by_srank[(m, 0)]
         if m % 4 in (0, 1):
-            if a50 != table.count.get(m, 0):
+            if a50 != count[m]:
                 fail({"route": f"4n+{m % 4}", "weight": m})
         elif m % 4 == 2:
             if a50 != 0:
                 fail({"route": "4n+2", "weight": m, "count": a50})
     for n in range(params["form4_n"] + 1):
-        if table.by_srank.get((4 * n + 3, 0), 0) != table.count.get(n, 0):
+        if by_srank[(4 * n + 3, 0)] != count[n]:
             fail({"route": "4n+3", "n": n})
     # the doubling map is an explicit bijection onto the srank-0 class
-    _core_map_bijection("map", params["map_n"], quadruple_shift_vector, 4, 3, table,
-                        table.by_srank,
+    _core_map_bijection("map", params["map_n"], quadruple_shift_vector, 4, 3, count,
+                        by_srank,
                         [("parity", lambda v: tuple(x % 2 for x in v) == (0, 1, 0, 1, 0)),
                          ("srank", lambda v: stats.core_srank_mod4(5, v) == 0)])
     # parity criterion: srank-0 at weight 3 mod 4 means pattern (0,1,0,1,0)
@@ -1124,8 +1144,8 @@ def _chk_cor5(params):
 def _scan_bg_counterexample(max_weight: int):
     """The first (weight, BG-rank) class of 5-cores, weight 5n+r with r < 4,
     whose size is not divisible by 5."""
-    for (w, j), c in sorted(_five_core_bg_counts(max_weight).items()):
-        if w % 5 != 4 and c % 5:
+    for (w, j), c in sorted(core_tally(5, max_weight, "bg-rank").items()):
+        if w <= max_weight and w % 5 != 4 and c % 5:
             return {"n": w // 5, "r": w % 5, "j": j, "weight": w, "count": c}
     return None
 
@@ -1142,9 +1162,9 @@ def _chk_ab5jr(params):
 @register("CHK-AB5J4", "5-core BG-rank classes on 5n+4 are 0 mod 5",
           max_weight=104)
 def _chk_ab5j4(params):
-    counts = _five_core_bg_counts(params["max_weight"])
-    for (w, j), c in sorted(counts.items()):
-        if w % 5 == 4 and c % 5:
+    top = params["max_weight"]
+    for (w, j), c in sorted(core_tally(5, top, "bg-rank").items()):
+        if w <= top and w % 5 == 4 and c % 5:
             fail({"weight": w, "j": j, "count": c})
 
 

@@ -157,11 +157,12 @@ def test_criterion_8_five_core_counting():
     run_ok("CHK-5CORE", rel_n=104)
     run_ok("CHK-REFINE", refine_n=100, theta_n=104)
     run_ok("CHK-A50", form4_n=100)
-    table = verify.five_core_table()
+    tally = verify.core_tally(5, 524, "srank-mod-4", "five-core-crank")
+    count, by_srank = verify._sum_down(tally, 0), verify._sum_down(tally, 0, 1)
     for n in range(105):
-        assert table.count.get(5 * n + 4, 0) == 5 * table.count.get(n, 0)
-    for m in range(2, table.limit + 1, 4):
-        assert table.by_srank.get((m, 0), 0) == 0
+        assert count[5 * n + 4] == 5 * count[n]
+    for m in range(2, 525, 4):
+        assert by_srank[(m, 0)] == 0
 
 
 @criterion(9, "BG-rank suite: alternate forms, class splits, product identity")

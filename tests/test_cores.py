@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from tcorelab import verify
 from tcorelab.cores import (
     CoreQuotient,
     _partition_from_colors,
@@ -14,7 +15,6 @@ from tcorelab.cores import (
     capital_phi,
     capital_phi_inv,
     core_weight_from_vector,
-    count_t_cores,
     count_t_cores_by_filter,
     iter_core_vectors,
     n_from_alpha,
@@ -262,21 +262,24 @@ class TestCounting:
 
     def test_two_cores_are_staircases(self):
         triangulars = {k * (k + 1) // 2 for k in range(12)}
+        tally = verify.core_tally(2, 40, "charge-residue")
         for n in range(41):
-            assert count_t_cores(n, 2) == (1 if n in triangulars else 0)
+            assert tally[(n, 0)] == (1 if n in triangulars else 0)
+            assert count_t_cores_by_filter(n, 2) == (1 if n in triangulars else 0)
 
     def test_five_core_counts(self):
-        assert count_t_cores(4, 5) == 5
-        assert count_t_cores(9, 5) == 5
-        assert count_t_cores(5, 5) == 2
+        tally = verify.core_tally(5, 9, "charge-residue")
+        assert (tally[(4, 0)], tally[(9, 0)], tally[(5, 0)]) == (5, 5, 2)
+        assert [count_t_cores_by_filter(n, 5) for n in (4, 9, 5)] == [5, 5, 2]
 
     def test_triple_agreement_small(self):
         for t in range(2, 8):
             by_vector = [0] * 21
             for _, w in iter_core_vectors(t, 20):
                 by_vector[w] += 1
+            tally = verify.core_tally(t, 20, "charge-residue")
             for n in range(21):
-                assert by_vector[n] == count_t_cores(n, t)
+                assert by_vector[n] == tally[(n, 0)]
                 assert by_vector[n] == count_t_cores_by_filter(n, t)
 
     def test_series_matches_vectors_to_high_order(self):

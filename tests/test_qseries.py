@@ -192,12 +192,12 @@ class TestTheta:
             ring, order,
             [(ring.one, 2, 2, 1), (-z, 1, 2, 1), (-zi, 1, 2, 1)],
         )
-        assert lhs.eq_upto(rhs)
+        assert lhs.first_difference(rhs) is None
 
     def test_triangular_sum_identity(self):
         order = 100
         lhs = poch_product(INT, order, [(1, 4, 4, 1), (-1, 1, 2, 1)])
-        assert lhs.eq_upto(triangular_theta(INT, order))
+        assert lhs.first_difference(triangular_theta(INT, order)) is None
 
     def test_cyclotomic_triple_product(self):
         # triple product at z = xi^2, base q^2, against the divided theta form
@@ -214,7 +214,7 @@ class TestTheta:
                 term = -term
             rhs.coeffs[m * (m + 1)] = rhs.coeffs[m * (m + 1)] + term
             m += 1
-        assert lhs.eq_upto(rhs)
+        assert lhs.first_difference(rhs) is None
 
 
 class TestSift:
@@ -233,7 +233,7 @@ class TestSift:
         order = 30
         lhs = partition_count_series(5 * order + 5).sift(5, 4)
         rhs = poch_product(INT, order, [(1, 5, 5, 5), (1, 1, 1, -6)]).scaled(5)
-        assert lhs.eq_upto(rhs, order)
+        assert lhs.first_difference(rhs, order) is None
 
     def test_bad_residue(self):
         with pytest.raises(ValueError):

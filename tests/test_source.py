@@ -23,6 +23,16 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_global_statements(path):
+    # every process-wide cache is an lru_cache, which clear_memo empties and
+    # test_clear_memo_empties_every_cache finds; a rebound module global
+    # would escape both
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert lines == [], f"{path.name} has global statements on lines {lines}"
+
+
 def test_checks_raise_their_mismatches():
     # a check body passes by returning None and reports a mismatch through
     # verify.fail; only the register wrapper builds (status, witness) pairs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from tcorelab import stats, verify
 from tcorelab.cli import main
-from tcorelab.cores import core_weight_from_vector
+from tcorelab.cores import core_weight_from_vector, count_t_cores_by_filter, iter_core_vectors
 from tcorelab.partitions import enumerate_partitions, is_t_core
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,6 +126,74 @@ def test_alpha_form_counts_match_the_box():
         assert verify._alpha_form_counts(order) == alpha_box_counts(order), order
 
 
+@functools.cache
+def filter_count(n: int, t: int) -> int:
+    return count_t_cores_by_filter(n, t)
+
+
+@functools.cache
+def five_cores_by_enumeration(max_weight: int) -> list:
+    return [p for n in range(max_weight + 1) for p in enumerate_partitions(n)
+            if is_t_core(p, 5)]
+
+
+# The t-core tally columns computed on the cores as partitions.
+PARTITION_CORE_COLUMNS = {
+    "srank-mod-4": lambda p: stats.srank(p) % 4,
+    "five-core-crank": lambda p: stats.five_core_crank(p) if p.weight % 5 == 4 else None,
+    "bg-rank": stats.bg_rank,
+}
+
+
+class TestCoreTally:
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(2, 7), limit=st.integers(-1, 24), fresh=st.booleans())
+    def test_weight_counts_match_the_partition_filter(self, t, limit, fresh):
+        if fresh:
+            verify.clear_memo()
+        tally = verify.core_tally(t, limit, "charge-residue")
+        assert all(residue == 0 for _, residue in tally)
+        counts = verify._sum_down(tally, 0)
+        # the walk may run past the limit, never by t or more
+        assert max(counts, default=-1) < limit + t
+        for n in range(max([limit, *counts]) + 1):
+            assert counts[n] == filter_count(n, t), (t, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        limit=st.integers(-1, 30),
+        names=st.sampled_from([("srank-mod-4", "five-core-crank"), ("bg-rank",),
+                               ("five-core-crank", "bg-rank", "srank-mod-4")]),
+        fresh=st.booleans(),
+    )
+    def test_five_core_columns_match_the_partition_route(self, limit, names, fresh):
+        if fresh:
+            verify.clear_memo()
+        tally = verify.core_tally(5, limit, *names)
+        within = Counter({key: c for key, c in tally.items() if key[0] <= limit})
+        expected = Counter(
+            (p.weight, *(PARTITION_CORE_COLUMNS[name](p) for name in names))
+            for p in five_cores_by_enumeration(30) if p.weight <= limit)
+        assert within == expected
+
+    def test_one_walk_per_rounded_bound(self, monkeypatch):
+        walks = []
+
+        def counting(t, max_weight):
+            walks.append((t, max_weight))
+            return iter_core_vectors(t, max_weight)
+
+        verify.clear_memo()
+        monkeypatch.setattr(verify, "iter_core_vectors", counting)
+        try:
+            first = verify.core_tally(5, 520, "srank-mod-4", "five-core-crank")
+            assert verify.core_tally(5, 524, "srank-mod-4", "five-core-crank") is first
+            verify.core_tally(3, 10, "bg-rank")
+        finally:
+            verify.clear_memo()
+        assert walks == [(5, 524), (3, 11)]
+
+
 class TestRegistry:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
@@ -172,6 +241,16 @@ class TestRegistry:
             "CHK-THM5": {"max_n": 16},
             "CHK-COR5": {"max_n": 16},
             "CHK-FJ": {"order": 14, "xi_order": 30},
+            # the t-core tally readers: 5CORE, REFINE and A50 share one
+            # 5-core tally to weight 104 that A50 reads only to 100, and
+            # AB5JR and AB5J4 one BG-rank tally to 24 that AB5JR reads only
+            # to 21; whichever runs first fills it
+            "CHK-5CORE": {"order": 10, "psift_order": 10, "rel_n": 10},
+            "CHK-A50": {"max_arg": 100, "form4_n": 20, "map_n": 10},
+            "CHK-REFINE": {"refine_n": 20, "theta_n": 20, "invar_n": 10},
+            "CHK-TCOREGF": {"order": 20, "enum_n": 12, "t_min": 2, "t_max": 5},
+            "CHK-AB5JR": {"max_weight": 21},
+            "CHK-AB5J4": {"max_weight": 24},
         }
         runs = []
         for order in (list(bounds), list(reversed(bounds))):
@@ -179,12 +258,14 @@ class TestRegistry:
             runs.append({cid: verify.run_check(cid, **bounds[cid]).to_json()
                          for cid in order})
         assert runs[0] == runs[1]
-        assert all(report["status"] == "pass" for report in runs[0].values())
+        expected = {cid: "counterexample-found" if cid in verify.EXPECTED_COUNTEREXAMPLE
+                    else "pass" for cid in bounds}
+        assert {cid: report["status"] for cid, report in runs[0].items()} == expected
 
     def test_clear_memo_empties_every_cache(self):
         verify.run_check("CHK-THM5", max_n=12)
         verify.run_check("CHK-AB5JR", max_weight=20)
-        table = verify.five_core_table(30)
+        tally = verify.core_tally(5, 30, "srank-mod-4")
         verify.clear_memo()
         caches = [
             (name, attr) for name, module in sys.modules.items()
@@ -195,7 +276,7 @@ class TestRegistry:
         assert caches
         for name, attr in caches:
             assert getattr(sys.modules[name], attr).cache_info().currsize == 0, (name, attr)
-        assert verify.five_core_table(30) is not table
+        assert verify.core_tally(5, 30, "srank-mod-4") is not tally
 
     def test_five_core_checks_size_their_table(self):
         # both bounds read 5-core weights past 524, the default table size
@@ -311,6 +392,24 @@ class TestCli:
         report = json.loads(captured.out)
         assert report["status"] == "pass"
         assert "PASS CHK-RAMBEST" in captured.err
+
+    def test_verify_tcoregf_at_an_order_below_enum_n(self, capsys):
+        # enum_n = 30 reads n-vector counts past order - 1
+        assert main(["verify", "--check", "CHK-TCOREGF", "--order", "30"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+    @pytest.mark.parametrize("check_id, order, message", [
+        ("CHK-RAM5", 30, "max_n 49 reaches p(49), past the series order 30"),
+        ("CHK-RAM7", 30, "max_n 47 reaches p(47), past the series order 30"),
+        ("CHK-RAM11", 30, "max_n 50 reaches p(50), past the series order 30"),
+        ("CHK-5CORE", 0, "CHK-5CORE needs order >= 1, got 0"),
+    ], ids=["CHK-RAM5", "CHK-RAM7", "CHK-RAM11", "CHK-5CORE"])
+    def test_verify_order_out_of_bounds_is_usage_error(self, check_id, order, message,
+                                                        capsys):
+        assert main(["verify", "--check", check_id, "--order", str(order)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["witness"] == {"error": message}
+        assert captured.err == f"error: {check_id}: {message}\n"
 
     def test_verify_unknown_check(self, capsys):
         assert main(["verify", "--check", "CHK-NOPE"]) == 2
