@@ -14,7 +14,17 @@ from .cores import (
     q_alpha,
     words,
 )
-from .orbits import Orbit, c1_shift, c2_shift, map_4n_plus_3, orbit, orbit_map, orbit_map_s, theta
+from .orbits import (
+    Orbit,
+    c1_shift,
+    c2_shift,
+    map_4n_plus_3,
+    orbit,
+    orbit_images,
+    orbit_map,
+    orbit_map_s,
+    theta,
+)
 from .partitions import (
     BoundExceededError,
     Cell,

@@ -42,25 +42,34 @@ def c2_shift(q5: Sequence[Partition]) -> tuple[Partition, ...]:
     return (q5[4], q5[2], q5[3], q5[0], q5[1])
 
 
-def _orbit_step(p: Partition, shifted: bool) -> Partition:
-    """One orbit step in bead space: rotate the alpha-vector of the charges,
-    keep the bead readings (or permute their slots when shifted) and
-    reassemble; equal to the capital_phi route without conjugating."""
+def _rotated_beads(
+    p: Partition,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """One orbit step in bead space, before reassembly: the charges with
+    their alpha-vector rotated, and the bead readings of p unchanged.  The
+    maps reassemble from these (the shifted one after permuting the bead
+    slots), which equals the capital_phi route without conjugating."""
     charges, bead_parts = five_core_beads(p)
-    if shifted:
-        bead_parts = c2_shift(bead_parts)
-    charges = n_from_alpha(c1_shift(alpha_from_n(charges)))
-    return _partition_from_colors(5, charges, bead_parts)
+    return n_from_alpha(c1_shift(alpha_from_n(charges))), bead_parts
 
 
 def orbit_map(p: Partition) -> Partition:
     """Rotate the alpha-vector, keep the quotient: crank steps by 1 mod 5."""
-    return _orbit_step(p, False)
+    charges, bead_parts = _rotated_beads(p)
+    return _partition_from_colors(5, charges, bead_parts)
 
 
 def orbit_map_s(p: Partition) -> Partition:
     """Shifted orbit map: also permutes quotient slots, preserving srank mod 4."""
-    return _orbit_step(p, True)
+    charges, bead_parts = _rotated_beads(p)
+    return _partition_from_colors(5, charges, c2_shift(bead_parts))
+
+
+def orbit_images(p: Partition) -> tuple[Partition, Partition]:
+    """(orbit_map(p), orbit_map_s(p)) from one reading of the beads of p."""
+    charges, bead_parts = _rotated_beads(p)
+    return (_partition_from_colors(5, charges, bead_parts),
+            _partition_from_colors(5, charges, c2_shift(bead_parts)))
 
 
 def theta_vector(nvec: Sequence[int]) -> tuple[int, ...]:

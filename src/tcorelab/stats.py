@@ -155,21 +155,87 @@ def bijection2_inv(pb: Partition) -> Partition:
 
 
 def st_crank(p: Partition) -> int:
-    """Crank of the even-pair extraction plus half the srank, plus 1 on type B."""
-    p1, _ = bijection1(p)
-    return ag_crank(p1) + srank(p) // 2 + (1 if is_type_b(p) else 0)
+    """Crank of the even-pair extraction plus half the srank, plus 1 on type B.
+
+    One pass over the parts gathers everything: the parts of
+    ``bijection1(p)[0]`` (half of each completed pair of equal even parts),
+    the odd-part count and the alternating sum that make up the srank.  With
+    a repeated even part p is not of type B; without one the extraction is
+    empty (crank 0) and the type-B conditions of :func:`is_type_b` reduce to
+    a gap test on the two largest parts and at least two ones.
+    """
+    halves = []  # the extraction's parts, nonincreasing
+    odd = alt = pending = 0
+    sign = -1
+    for part in p:
+        alt += sign * part
+        sign = -sign
+        if part & 1:
+            odd += 1
+        elif part == pending:
+            halves.append(part >> 1)
+            pending = 0
+        else:
+            pending = part
+    half_srank = (odd + alt) // 2
+    if halves:
+        ones = halves.count(1)
+        if not ones:
+            return halves[0] + half_srank
+        return sum(1 for k in halves if k > ones) - ones + half_srank
+    # two ones below a largest part at least 2 above the next (weight 4 then
+    # cannot occur), or the exception (3, 1)
+    if len(p) > 2 and p[-2] == 1:
+        gap = p[0] - p[1]
+        if gap > 2 or gap == 2 and p[0] & 1:
+            return half_srank + 1
+    elif p == (3, 1):
+        return half_srank + 1
+    return half_srank
 
 
 def two_quotient_rank(p: Partition) -> int:
-    """Part-count difference of the two components of the 2-quotient."""
-    _, (nu0, nu1) = cores.quotient_profile(p, 2)
-    return nu0 - nu1
+    """Part-count difference of the two components of the 2-quotient.
+
+    A component's part count is the largest part of its colour's raw bead
+    reading (see :func:`cores.quotient_profile`), which the colour's first
+    displaced bead and its bead count give: with beads b_x = lambda_x - x and
+    charge c_i = floor((-nu-1-i)/2) + 1 + #{x : b_x = i (mod 2)}, it is
+    max(0, floor(b/2) + 1 - c_i) for the first bead b of parity i.
+    """
+    counts = [0, 0]
+    first = [0, 0]
+    for x, part in enumerate(p, start=1):
+        b = part - x
+        i = b & 1
+        if not counts[i]:
+            first[i] = b >> 1
+        counts[i] += 1
+    top = -len(p) - 1
+    nu0 = first[0] - top // 2 - counts[0] if counts[0] else 0
+    nu1 = first[1] - (top - 1) // 2 - counts[1] if counts[1] else 0
+    return max(nu0, 0) - max(nu1, 0)
 
 
 def five_core_crank(p: Partition) -> int:
-    """5-core crank: 1 + sum(i * alpha_i) mod 5; needs weight 4 (mod 5)."""
-    charges, _ = cores.five_core_beads(p)
-    return five_core_crank_from_vector(charges)
+    """5-core crank: 1 + sum(i * alpha_i) mod 5; needs weight 4 (mod 5).
+
+    Only the charges of the t = 5 bead diagram are read, c_i =
+    floor((-nu-1-i)/5) + 1 + #{x : lambda_x - x = i (mod 5)}.  They are the
+    5-core's n-vector, and the alpha coordinates of :func:`cores.alpha_from_n`
+    (with its integer s) give sum(i * alpha_i) = 6c_0 + 6c_1 + 5c_2 + 3c_3
+    - 5s, so the crank is 1 + c_0 + c_1 + 3c_3 mod 5.
+    """
+    if p.weight % 5 != 4:
+        raise ValueError(f"weight {p.weight} is not 4 (mod 5)")
+    counts = [0] * 5
+    x = 0
+    for part in p:
+        x += 1
+        counts[(part - x) % 5] += 1
+    top = -x - 1
+    c0, c1, _, c3, _ = [(top - i) // 5 + 1 + counts[i] for i in range(5)]
+    return (1 + c0 + c1 + 3 * c3) % 5
 
 
 def five_core_crank_from_vector(nvec: Sequence[int]) -> int:

@@ -34,7 +34,7 @@ from .cores import (
     phi2_inv,
     q3,
 )
-from .orbits import orbit_map, orbit_map_s, quadruple_shift_vector, theta_vector
+from .orbits import orbit_images, quadruple_shift_vector, theta_vector
 from .partitions import Partition, add_cell, enumerate_partitions, is_t_core, rim_hook_removals
 from .qseries import (
     Series,
@@ -126,9 +126,10 @@ def register(check_id: str, summary: str, **defaults):
 
 
 def run_check(check_id: str, **overrides) -> CheckReport:
-    """Run one check, memoized per parameter set.  A ValueError raised
-    inside the check becomes an "error" report, which is not memoized: it
-    depends on the enumeration bound as well as on the parameters."""
+    """Run one check, memoized per parameter set.  A negative parameter
+    raises ValueError before the check runs.  A ValueError raised inside the
+    check becomes an "error" report, which is not memoized: it depends on
+    the enumeration bound as well as on the parameters."""
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     definition = REGISTRY[check_id]
@@ -139,6 +140,11 @@ def run_check(check_id: str, **overrides) -> CheckReport:
         if key not in params:
             raise ValueError(f"check {check_id} takes no parameter {key!r}")
         params[key] = value
+    # every bound is a weight, order or count: a negative one would make
+    # the check's ranges empty and pass it vacuously
+    for key, value in params.items():
+        if value < 0:
+            raise ValueError(f"check {check_id} needs {key} >= 0, got {value}")
     key = (check_id, tuple(sorted(params.items())))
     if key in _MEMO:
         return _MEMO[key]
@@ -806,30 +812,41 @@ def _chk_orbit(params):
         crank, srank = _weight_table(n).columns("five-core-crank", "srank")
         # partition -> enumeration position, the row of its table entries
         index = {p: k for k, p in enumerate(enumerate_partitions(n))}
-        for shifted in (False, True):
-            step = orbit_map_s if shifted else orbit_map
-            images = []
-            for p, k in index.items():
-                q = step(p)
-                j = index.get(q)
-                if j is None:
-                    fail({"n": n, "shifted": shifted,
-                          "partition": list(p), "image": list(q)})
-                if (crank[j] - crank[k]) % 5 != 1:
-                    fail({"n": n, "shifted": shifted, "reason": "crank step",
-                          "partition": list(p)})
-                if shifted and srank[j] % 4 != srank[k] % 4:
-                    fail({"n": n, "reason": "srank not preserved", "partition": list(p)})
-                images.append(j)
-            if len(set(images)) != len(images):
+        # image positions under the unshifted and the shifted map, both from
+        # one bead reading per partition; a fault of the shifted map is
+        # raised only once the unshifted map has passed every test
+        images = (array("i"), array("i"))
+        shifted_fault = None
+        for p, k in index.items():
+            for shifted, q, positions in zip((False, True), orbit_images(p), images):
+                j = index.get(q, -1)
+                positions.append(j)
+                if j < 0:
+                    fault = {"n": n, "shifted": shifted,
+                             "partition": list(p), "image": list(q)}
+                elif (crank[j] - crank[k]) % 5 != 1:
+                    fault = {"n": n, "shifted": shifted, "reason": "crank step",
+                             "partition": list(p)}
+                elif shifted and srank[j] % 4 != srank[k] % 4:
+                    fault = {"n": n, "reason": "srank not preserved", "partition": list(p)}
+                else:
+                    continue
+                if not shifted:
+                    fail(fault)
+                shifted_fault = shifted_fault or fault
+        for shifted, fault in ((False, None), (True, shifted_fault)):
+            if fault is not None:
+                fail(fault)
+            step = images[shifted]
+            if len(set(step)) != len(step):
                 fail({"n": n, "shifted": shifted, "reason": "not a bijection"})
-            if len(images) % 5:
+            if len(step) % 5:
                 fail({"n": n, "reason": "p(n) not divisible by 5"})
             for k, p in enumerate(index):
                 j = k
                 seen = []
                 for _ in range(5):
-                    j = images[j]
+                    j = step[j]
                     seen.append(j)
                 if j != k or len(set(seen)) != 5:
                     fail({"n": n, "shifted": shifted, "reason": "order",

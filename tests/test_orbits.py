@@ -11,6 +11,7 @@ from tcorelab.orbits import (
     c2_shift,
     map_4n_plus_3,
     orbit,
+    orbit_images,
     orbit_map,
     orbit_map_s,
     quadruple_shift_vector,
@@ -113,11 +114,20 @@ class TestBeadSpaceRoute:
         alpha, quotient = capital_phi(p)
         assert orbit_map_s(p) == capital_phi_inv(c1_shift(alpha), c2_shift(quotient))
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=partitions_4_mod_5())
+    def test_orbit_images_match_both_maps(self, p):
+        alpha, quotient = capital_phi(p)
+        images = orbit_images(p)
+        assert images == (orbit_map(p), orbit_map_s(p))
+        assert images == (capital_phi_inv(c1_shift(alpha), quotient),
+                          capital_phi_inv(c1_shift(alpha), c2_shift(quotient)))
+
     def test_images_are_canonical(self):
         # reassembly skips validation, so rebuild each image through it
         for n in (4, 9, 14, 19):
             for p in enumerate_partitions(n):
-                for q in (orbit_map(p), orbit_map_s(p)):
+                for q in (orbit_map(p), orbit_map_s(p), *orbit_images(p)):
                     assert type(q) is P
                     assert P(tuple(q)) == q
 

@@ -27,7 +27,7 @@ from tcorelab.stats import (
     two_quotient_rank,
 )
 
-from strategies import partitions_4_mod_5
+from strategies import partitions, partitions_4_mod_5
 
 P = Partition
 
@@ -182,8 +182,7 @@ class TestFiveCoreCrank:
     @settings(max_examples=200, deadline=None)
     @given(p=partitions_4_mod_5())
     def test_capital_phi_route(self, p):
-        alpha, _ = capital_phi(p)
-        assert five_core_crank(p) == (1 + sum(i * a for i, a in enumerate(alpha))) % 5
+        assert five_core_crank(p) == five_core_crank_by_definition(p)
 
     def test_vector_route_agrees(self):
         for nvec, w in iter_core_vectors(5, 30):
@@ -201,6 +200,49 @@ class TestFiveCoreCrank:
             assert c == 2 * (1 + n0 - n1 - n2 + n3) % 5
             r = residue_counts(phi2_inv(nvec), 5)
             assert c == (2 + sum(i * r[(2 - i) % 5] for i in range(-2, 3))) % 5
+
+
+def st_crank_by_definition(p):
+    """Crank of the even-pair extraction, half the srank, 1 on type B."""
+    return ag_crank(bijection1(p)[0]) + srank(p) // 2 + is_type_b(p)
+
+
+def two_quotient_rank_by_definition(p):
+    """Part counts of the published 2-quotient components."""
+    nu0, nu1 = phi1(p, 2).quotient
+    return nu0.num_parts - nu1.num_parts
+
+
+def five_core_crank_by_definition(p):
+    """1 + sum(i * alpha_i) mod 5 through the combined decomposition."""
+    alpha, _ = capital_phi(p)
+    return (1 + sum(i * a for i, a in enumerate(alpha))) % 5
+
+
+class TestDirectKernels:
+    """The one-pass statistics against the routes they replaced."""
+
+    @pytest.mark.parametrize("kernel, definition, weights", [
+        (st_crank, st_crank_by_definition, range(31)),
+        (two_quotient_rank, two_quotient_rank_by_definition, range(31)),
+        (five_core_crank, five_core_crank_by_definition, range(4, 31, 5)),
+    ], ids=["st-crank", "two-quotient-rank", "five-core-crank"])
+    def test_exhaustive(self, kernel, definition, weights):
+        for n in weights:
+            for p in enumerate_partitions(n):
+                assert kernel(p) == definition(p), p
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=partitions())
+    def test_st_crank_random(self, p):
+        assert st_crank(p) == st_crank_by_definition(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=partitions())
+    def test_two_quotient_rank_random(self, p):
+        assert two_quotient_rank(p) == two_quotient_rank_by_definition(p)
+
+    # five_core_crank at random weights: TestFiveCoreCrank.test_capital_phi_route
 
 
 class TestBgRank:

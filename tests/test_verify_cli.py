@@ -16,10 +16,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tcorelab import stats, verify
+from tcorelab import cores, stats, verify
 from tcorelab.cli import main
 from tcorelab.cores import core_weight_from_vector, count_t_cores_by_filter, iter_core_vectors
-from tcorelab.partitions import enumerate_partitions, is_t_core
+from tcorelab.orbits import orbit_map, orbit_map_s
+from tcorelab.partitions import Partition, enumerate_partitions, is_t_core
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,6 +39,60 @@ def direct_joint(n: int, names: tuple[str, ...], filter_name: str | None) -> Cou
     fns = [stats.STATISTICS[name] for name in names]
     keep = ORACLE_FILTERS[filter_name]
     return Counter(tuple(fn(p) for fn in fns) for p in enumerate_partitions(n) if keep(p))
+
+
+def _first_alike(q):
+    """The first partition of q's weight with q's 5-core crank and srank class."""
+    key = (stats.five_core_crank(q), stats.srank(q) % 4)
+    return next(r for r in enumerate_partitions(q.weight)
+                if (stats.five_core_crank(r), stats.srank(r) % 4) == key)
+
+
+def _merge_two_cycles(q):
+    """Swap two crank-0 partitions of 9 in one srank class: the map stays a
+    bijection with every crank step, but two 5-cycles become one 10-cycle."""
+    if q.weight != 9:
+        return q
+    zeros = [r for r in enumerate_partitions(9) if stats.five_core_crank(r) == 0]
+    r1 = zeros[0]
+    r2 = next(r for r in zeros[1:] if stats.srank(r) % 4 == stats.srank(r1) % 4)
+    return r2 if q == r1 else r1 if q == r2 else q
+
+
+# A faulty replacement for orbit_images, and the CHK-ORBIT witness at
+# max_n = 14, recorded when the check still mapped every partition with
+# orbit_map and then every partition with orbit_map_s.
+ORBIT_FAULTS = {
+    "unshifted-identity": (
+        lambda p: (p, orbit_map_s(p)),
+        {"n": 4, "shifted": False, "reason": "crank step", "partition": [4]}),
+    "shifted-identity": (
+        lambda p: (orbit_map(p), p),
+        {"n": 4, "shifted": True, "reason": "crank step", "partition": [4]}),
+    "shifted-unshifted": (
+        lambda p: (orbit_map(p), orbit_map(p)),
+        {"n": 9, "reason": "srank not preserved", "partition": [8, 1]}),
+    "shifted-off-weight": (
+        lambda p: (orbit_map(p), Partition((*orbit_map_s(p), 1))),
+        {"n": 4, "shifted": True, "partition": [4], "image": [2, 2, 1]}),
+    "collapsed": (
+        lambda p: (_first_alike(orbit_map(p)), orbit_map_s(p)),
+        {"n": 9, "shifted": False, "reason": "not a bijection"}),
+    "collapsed-shifted": (
+        lambda p: (orbit_map(p), _first_alike(orbit_map_s(p))),
+        {"n": 9, "shifted": True, "reason": "not a bijection"}),
+    # an unshifted fault at the last partition of 4 is found before the
+    # shifted fault at the first
+    "late-unshifted": (
+        lambda p: (p if p == (1, 1, 1, 1) else orbit_map(p), p),
+        {"n": 4, "shifted": False, "reason": "crank step", "partition": [1, 1, 1, 1]}),
+    "merged-cycles": (
+        lambda p: (_merge_two_cycles(orbit_map(p)), orbit_map_s(p)),
+        {"n": 9, "shifted": False, "reason": "order", "partition": [7, 2]}),
+    "merged-cycles-shifted": (
+        lambda p: (orbit_map(p), _merge_two_cycles(orbit_map_s(p))),
+        {"n": 9, "shifted": True, "reason": "order", "partition": [7, 2]}),
+}
 
 
 class TestClassCounts:
@@ -312,6 +367,34 @@ class TestRegistry:
             verify.clear_memo()
         assert calls == {4: 2, 9: 2, 14: 2}
 
+    def test_orbit_reads_the_beads_once_per_partition(self, monkeypatch):
+        # 19,110 partitions of 4, 9, ..., 34; the crank column reads charges only
+        calls = Counter()
+        reading = cores._charges_and_bead_parts
+
+        def counting(p, t):
+            calls[t] += 1
+            return reading(p, t)
+
+        verify.clear_memo()
+        monkeypatch.setattr(cores, "_charges_and_bead_parts", counting)
+        try:
+            assert verify.run_check("CHK-ORBIT", max_n=34).status == "pass"
+        finally:
+            verify.clear_memo()
+        assert calls == {5: 19110}
+
+    @pytest.mark.parametrize("fault", ORBIT_FAULTS)
+    def test_orbit_fault_witnesses(self, fault, monkeypatch):
+        images, witness = ORBIT_FAULTS[fault]
+        verify.clear_memo()
+        monkeypatch.setattr(verify, "orbit_images", images)
+        try:
+            report = verify.run_check("CHK-ORBIT", max_n=14)
+        finally:
+            verify.clear_memo()
+        assert (report.status, report.witness) == ("fail", witness)
+
     @pytest.mark.parametrize("statistic", ["st-crank", "srank", "ag-crank", "two-quotient-rank"])
     def test_fault_injected_witnesses(self, statistic, monkeypatch):
         # reports with one statistic replaced by a constant, recorded before
@@ -410,6 +493,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["witness"] == {"error": message}
         assert captured.err == f"error: {check_id}: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--check", "CHK-RAM5", "--max-n", "-1"], "CHK-RAM5 needs max_n >= 0, got -1"),
+        (["verify", "--check", "CHK-THM2", "--max-n", "-4"], "CHK-THM2 needs max_n >= 0, got -4"),
+        (["search", "--family", "ab5jr", "--max-weight", "-5"],
+         "CHK-AB5JR needs max_weight >= 0, got -5"),
+    ], ids=["CHK-RAM5", "CHK-THM2", "search"])
+    def test_negative_bound_is_usage_error(self, argv, message, capsys):
+        # an empty range would pass the check vacuously
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: check {message}\n"
 
     def test_verify_unknown_check(self, capsys):
         assert main(["verify", "--check", "CHK-NOPE"]) == 2
