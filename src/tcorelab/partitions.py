@@ -175,12 +175,9 @@ def beta_contents(p: Partition) -> list[int]:
     return [part - row for row, part in enumerate(p, start=1)]
 
 
-def enumerate_partitions(n: int, *, max_n: int | None = None) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, reverse lexicographically.
-
-    The first value is (n), the last (1^n).  Raises BoundExceededError when n
-    exceeds the configured bound (see TCORELAB_MAX_N).
-    """
+def check_enumeration_bound(n: int, max_n: int | None = None) -> None:
+    """Raise unless the partitions of n may be enumerated: ValueError for a
+    negative n, BoundExceededError above the bound (see TCORELAB_MAX_N)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     bound = max_enumeration_n() if max_n is None else max_n
@@ -188,6 +185,15 @@ def enumerate_partitions(n: int, *, max_n: int | None = None) -> Iterator[Partit
         raise BoundExceededError(
             f"enumeration of partitions of {n} exceeds the bound {bound}"
         )
+
+
+def enumerate_partitions(n: int, *, max_n: int | None = None) -> Iterator[Partition]:
+    """Yield every partition of n exactly once, reverse lexicographically.
+
+    The first value is (n), the last (1^n).  Raises BoundExceededError when n
+    exceeds the configured bound (see TCORELAB_MAX_N).
+    """
+    check_enumeration_bound(n, max_n)
     if n == 0:
         yield Partition()
         return

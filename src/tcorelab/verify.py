@@ -35,7 +35,14 @@ from .cores import (
     q3,
 )
 from .orbits import orbit_images, quadruple_shift_vector, theta_vector
-from .partitions import Partition, add_cell, enumerate_partitions, is_t_core, rim_hook_removals
+from .partitions import (
+    Partition,
+    add_cell,
+    check_enumeration_bound,
+    enumerate_partitions,
+    is_t_core,
+    rim_hook_removals,
+)
 from .qseries import (
     Series,
     hexagonal_theta_sum,
@@ -187,48 +194,68 @@ COLUMNS: dict[str, Callable[[Partition], int]] = {
 
 
 class WeightTable:
-    """Statistic columns over the partitions of one weight.
+    """The partitions of one weight, packed, and statistic columns over them.
 
-    Entry k of every column belongs to the k-th partition in enumeration
-    order, so a joint distribution is a Counter over zipped columns.  A
-    column is filled the first time a check reads it, and all the columns
-    one read asks for are filled in a single enumeration.  Only the columns
-    are kept, not the partitions: every value is bounded by the weight in
+    The first read enumerates the weight once and keeps that enumeration as
+    one bytes object: the parts of each partition, one byte per part, with a
+    zero byte between partitions.  Every later read replays it, so a weight
+    is enumerated once however many columns and walks read it.  Entry k of
+    every column belongs to the k-th partition in enumeration order, so a
+    joint distribution is a Counter over zipped columns.  A column is filled
+    the first time a check reads it; every value is bounded by the weight in
     absolute value, so 16-bit arrays hold them at any enumerable weight.
+    Every read checks the weight against the enumeration bound, so a table
+    filled under a higher bound answers as a cold one would.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.size: int | None = None
+        self.packed: bytes | None = None
         self.filled: dict[str, array] = {}
 
     def _fill(self, names: tuple[str, ...]) -> None:
+        check_enumeration_bound(self.n)
+        if self.n > 255:
+            raise ValueError(f"a weight table packs one part per byte, so it holds "
+                             f"weights up to 255, not {self.n}")
         missing = [name for name in dict.fromkeys(names) if name not in self.filled]
-        if self.size is not None and not missing:
+        if self.packed is not None:
+            for name in missing:
+                self.filled[name] = array("h", map(_column_function(name), self.partitions()))
             return
-        functions = [stats.STATISTICS.get(name) or COLUMNS[name] for name in missing]
+        functions = [_column_function(name) for name in missing]
         filled = [array("h") for _ in missing]
-        size = 0
+        packed = bytearray()
         for p in enumerate_partitions(self.n):
-            size += 1
+            packed += bytes(p)
+            packed.append(0)
             for fn, column in zip(functions, filled):
                 column.append(fn(p))
-        self.size = size
+        self.packed = bytes(packed[:-1])
         self.filled.update(zip(missing, filled))
 
     def total(self) -> int:
         """p(n), the number of partitions of the weight."""
         self._fill(())
-        return self.size
+        return self.packed.count(0) + 1
+
+    def partitions(self) -> Iterator[Partition]:
+        """The partitions of the weight in enumeration order, replayed."""
+        self._fill(())
+        return map(partial(tuple.__new__, Partition), self.packed.split(b"\0"))
 
     def columns(self, *names: str) -> tuple[array, ...]:
-        """The named columns, any missing ones filled in one enumeration."""
+        """The named columns, any missing ones filled in one pass."""
         self._fill(names)
         return tuple(self.filled[name] for name in names)
 
     def joint(self, *names: str) -> Counter:
         """Counts of the value tuples that the named columns take together."""
         return Counter(zip(*self.columns(*names)))
+
+
+def _column_function(name: str) -> Callable[[Partition], int]:
+    return stats.STATISTICS.get(name) or COLUMNS[name]
 
 
 @lru_cache(maxsize=None)
@@ -717,7 +744,7 @@ def _chk_g3(params):
     tally = Series(ring, tally_order)
     for n in range(tally_order):
         acc = ring.zero
-        for p in enumerate_partitions(n):
+        for p in _weight_table(n).partitions():
             charges, counts = cores.quotient_profile(p, 3)
             n1, n2 = charges[1], charges[2]
             shift = 3 * (counts[1] - counts[2])
@@ -809,9 +836,10 @@ def _chk_5core(params):
           max_n=49)
 def _chk_orbit(params):
     for n in range(4, params["max_n"] + 1, 5):
-        crank, srank = _weight_table(n).columns("five-core-crank", "srank")
+        table = _weight_table(n)
+        crank, srank = table.columns("five-core-crank", "srank")
         # partition -> enumeration position, the row of its table entries
-        index = {p: k for k, p in enumerate(enumerate_partitions(n))}
+        index = {p: k for k, p in enumerate(table.partitions())}
         # image positions under the unshifted and the shifted map, both from
         # one bead reading per partition; a fault of the shifted map is
         # raised only once the unshifted map has passed every test
@@ -877,7 +905,7 @@ def _chk_thm3(params):
           max_n=29)
 def _chk_elegant(params):
     for n in range(params["max_n"] + 1):
-        for p in enumerate_partitions(n):
+        for p in _weight_table(n).partitions():
             cq = phi1(p, 5)
             nvec = phi2(cq.core, 5)
             s_core = stats.srank(cq.core)
@@ -1007,7 +1035,7 @@ def _chk_thm4(params):
           max_n=24, t_min=2, t_max=9)
 def _chk_srtq(params):
     for n in range(params["max_n"] + 1):
-        for p in enumerate_partitions(n):
+        for p in _weight_table(n).partitions():
             s = stats.srank(p) % 4
             for t in range(params["t_min"], params["t_max"] + 1):
                 if stats.decomposition_srank_mod4(phi1(p, t)) != s:
@@ -1019,7 +1047,7 @@ def _chk_srtq(params):
 def _chk_strip(params):
     top = params["max_n"]
     for n in range(top + 1):
-        for p in enumerate_partitions(n):
+        for p in _weight_table(n).partitions():
             s = stats.srank(p)
             # single cells at every addable corner
             for row in range(1, len(p) + 2):
@@ -1054,7 +1082,7 @@ def _chk_strip(params):
     # head parity when a strip grows one quotient component
     for t in (3, 5):
         for n in range(top + 1):
-            for base in enumerate_partitions(n):
+            for base in _weight_table(n).partitions():
                 cq = phi1(base, t)
                 nvec = phi2(cq.core, t)
                 for i in range(t):
@@ -1084,7 +1112,7 @@ def _chk_bgralt(params):
     from .partitions import residue_counts
 
     for n in range(params["max_n"] + 1):
-        for p in enumerate_partitions(n):
+        for p in _weight_table(n).partitions():
             j = stats.bg_rank(p)
             r = residue_counts(p, 2)
             core2 = cores.phi1(p, 2).core

@@ -69,3 +69,18 @@ def test_stdlib_only(path):
         outside += [f"{name}:{node.lineno}" for name in names
                     if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == [], f"{path.name} imports non-stdlib modules: {outside}"
+
+
+def test_only_the_weight_table_enumerates():
+    # a weight is enumerated once, by its WeightTable; every other reader
+    # of verify.py replays the table's partitions
+    path = next(path for path in SOURCES if path.name == "verify.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "WeightTable")
+    names = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "enumerate_partitions"]
+    inside = {id(node) for node in ast.walk(table)}
+    outside = [node.lineno for node in names if id(node) not in inside]
+    assert outside == [], f"verify.py names enumerate_partitions on lines {outside}"
+    assert len(names) == 1, "WeightTable no longer enumerates"

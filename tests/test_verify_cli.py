@@ -20,7 +20,7 @@ from tcorelab import cores, stats, verify
 from tcorelab.cli import main
 from tcorelab.cores import core_weight_from_vector, count_t_cores_by_filter, iter_core_vectors
 from tcorelab.orbits import orbit_map, orbit_map_s
-from tcorelab.partitions import Partition, enumerate_partitions, is_t_core
+from tcorelab.partitions import BoundExceededError, Partition, enumerate_partitions, is_t_core
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,6 +157,64 @@ class TestClassCounts:
             residues[value % 5] += c
         assert verify.class_counts(n, names[0], 5, filter_name) == residues
         assert table.total() == sum(1 for _ in enumerate_partitions(n))
+
+
+# Every column a weight table can hold.
+TABLE_COLUMNS = sorted({*stats.STATISTICS, *verify.COLUMNS})
+
+
+class TestWeightTable:
+    def test_replay_matches_the_enumeration(self):
+        for n in range(31):
+            expected = list(enumerate_partitions(n))
+            # first touched without columns, or by a column fill
+            for first in ((), ("srank", "odd-parts")):
+                table = verify.WeightTable(n)
+                table.columns(*first)
+                for _ in range(2):
+                    replayed = list(table.partitions())
+                    assert replayed == expected, n
+                    assert all(type(p) is Partition for p in replayed), n
+                    # the second round replays after a later column fill
+                    table.columns("bg-rank")
+                assert table.total() == len(expected)
+
+    def test_weight_zero_packs_to_nothing(self):
+        table = verify.WeightTable(0)
+        assert list(table.partitions()) == [Partition()]
+        assert table.packed == b""
+        assert table.total() == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 16), data=st.data())
+    def test_late_columns_equal_first_touch_columns(self, n, data):
+        names = [name for name in TABLE_COLUMNS
+                 if n % 5 == 4 or name != "five-core-crank"]
+        order = data.draw(st.permutations(names))
+        first = data.draw(st.integers(0, len(order)))
+        chosen = order[:data.draw(st.integers(first, len(order)))]
+        at_first_touch = verify.WeightTable(n).columns(*chosen)
+        table = verify.WeightTable(n)
+        table.columns(*chosen[:first])
+        for name in chosen[first:]:
+            table.columns(name)
+        assert table.columns(*chosen) == at_first_touch
+        assert list(table.partitions()) == list(enumerate_partitions(n))
+
+    def test_parts_must_fit_a_byte(self, monkeypatch):
+        monkeypatch.setenv("TCORELAB_MAX_N", "300")
+        with pytest.raises(ValueError, match="up to 255, not 256"):
+            verify.WeightTable(256).total()
+
+    def test_every_read_checks_the_bound(self, monkeypatch):
+        table = verify.WeightTable(24)
+        table.columns("srank")
+        monkeypatch.setenv("TCORELAB_MAX_N", "20")
+        message = "enumeration of partitions of 24 exceeds the bound 20"
+        for read in (table.total, table.partitions, lambda: table.columns("srank"),
+                     lambda: table.joint("srank")):
+            with pytest.raises(BoundExceededError, match=message):
+                read()
 
 
 def alpha_box_counts(order: int) -> list[int]:
@@ -351,21 +409,58 @@ class TestRegistry:
         assert verify.run_check("CHK-RAM5", max_n=30).status == "pass"
         verify.clear_memo()
 
-    def test_orbit_enumerates_each_weight_twice(self, monkeypatch):
-        # once to fill both table columns, once for the partition -> position index
+    def test_each_weight_is_enumerated_once(self, monkeypatch):
+        # the 23 enumeration checks at weights <= 14, in two orders: the
+        # first read of a weight enumerates it, every later read replays it
+        bounds = {
+            "CHK-RAM5": {"max_n": 14}, "CHK-RAM7": {"max_n": 12},
+            "CHK-RAM11": {"max_n": 14},
+            "CHK-DYSON": {"max_n5": 14, "max_n7": 12},
+            "CHK-AG": {"max_n5": 14, "max_n7": 12, "max_n11": 14},
+            "CHK-CRANKGF": {"order": 14}, "CHK-GREF5": {"max_n": 14},
+            "CHK-RSGF": {"order": 14}, "CHK-P02PROD": {"order": 14},
+            "CHK-ANDREWS": {"max_n": 14}, "CHK-SRANKPROD": {"order": 14},
+            "CHK-LEMMA1": {"order": 14}, "CHK-THM1": {"max_n": 14},
+            "CHK-THM2": {"max_n": 14, "joint_n": 14}, "CHK-G2": {"order": 14},
+            "CHK-ORBIT": {"max_n": 14}, "CHK-THM3": {"max_n": 14},
+            "CHK-ELEGANT": {"max_n": 14}, "CHK-SRTQ": {"max_n": 12},
+            "CHK-STRIP": {"max_n": 10}, "CHK-BGRALT": {"max_n": 14},
+            "CHK-THM5": {"max_n": 14}, "CHK-COR5": {"max_n": 14},
+        }
         calls = Counter()
 
         def counting(n, *args, **kwargs):
             calls[n] += 1
             return enumerate_partitions(n, *args, **kwargs)
 
-        verify.clear_memo()
         monkeypatch.setattr(verify, "enumerate_partitions", counting)
+        for order in (list(bounds), list(reversed(bounds))):
+            verify.clear_memo()
+            calls.clear()
+            try:
+                statuses = {cid: verify.run_check(cid, **bounds[cid]).status
+                            for cid in order}
+            finally:
+                verify.clear_memo()
+            assert statuses == dict.fromkeys(order, "pass")
+            assert calls == Counter(range(15))
+
+    def test_a_warm_table_keeps_the_bound(self, monkeypatch):
+        # a check reads the same error whether the tables are cold or were
+        # filled under a higher bound
+        verify.clear_memo()
+        monkeypatch.setenv("TCORELAB_MAX_N", "20")
+        witness = {"error": "enumeration of partitions of 24 exceeds the bound 20"}
         try:
-            assert verify.run_check("CHK-ORBIT", max_n=14).status == "pass"
+            cold = verify.run_check("CHK-ANDREWS", max_n=29)
+            monkeypatch.delenv("TCORELAB_MAX_N")
+            assert verify.run_check("CHK-ANDREWS", max_n=34).status == "pass"
+            monkeypatch.setenv("TCORELAB_MAX_N", "20")
+            warm = [verify.run_check(cid, max_n=29) for cid in ("CHK-ANDREWS", "CHK-RAM5")]
         finally:
             verify.clear_memo()
-        assert calls == {4: 2, 9: 2, 14: 2}
+        for report in (cold, *warm):
+            assert (report.status, report.witness) == ("error", witness), report.check_id
 
     def test_orbit_reads_the_beads_once_per_partition(self, monkeypatch):
         # 19,110 partitions of 4, 9, ..., 34; the crank column reads charges only
