@@ -18,40 +18,43 @@ from . import stats, tables, verify
 from .cores import phi1
 from .partitions import Partition
 from .qseries import (
+    TRIANGULAR_FACTORS,
+    crank_factors,
+    p02prod_series,
     partition_count_series,
     poch_product,
+    rambest_series,
+    t_core_series,
     triangular_theta,
 )
 from .rings import INT, LaurentRing
 
 
+def _crank_gf(order: int):
+    ring = LaurentRing(("x",))
+    return poch_product(ring, order, crank_factors(ring.monomial(x=1), ring.monomial(x=-1)))
+
+
+# `series` expressions: name -> builder(order, the argument after a colon),
+# each reading the product its check verifies
+SERIES = {
+    "partition-gf": lambda order, arg: partition_count_series(order),
+    "euler": lambda order, arg: poch_product(INT, order, [(1, 1, 1, 1)]),
+    "tcore-gf": lambda order, arg: t_core_series(int(arg or 5), order),
+    "jtpa-product": lambda order, arg: poch_product(INT, order, TRIANGULAR_FACTORS),
+    "jtpa-theta": lambda order, arg: triangular_theta(INT, order),
+    "rambest-rhs": lambda order, arg: rambest_series(order),
+    "p02prod-rhs": lambda order, arg: p02prod_series(order),
+    "crank-gf": lambda order, arg: _crank_gf(order),
+}
+
+
 def _series_registry(expr: str, order: int):
-    """Named series constructions for the `series` subcommand."""
+    """The named series construction for the `series` subcommand."""
     name, _, arg = expr.partition(":")
-    if name == "partition-gf":
-        return partition_count_series(order)
-    if name == "euler":
-        return poch_product(INT, order, [(1, 1, 1, 1)])
-    if name == "tcore-gf":
-        t = int(arg or 5)
-        return poch_product(INT, order, [(1, t, t, t), (1, 1, 1, -1)])
-    if name == "jtpa-product":
-        return poch_product(INT, order, [(1, 4, 4, 1), (-1, 1, 2, 1)])
-    if name == "jtpa-theta":
-        return triangular_theta(INT, order)
-    if name == "rambest-rhs":
-        return poch_product(INT, order, [(1, 5, 5, 5), (1, 1, 1, -6)]).scaled(5)
-    if name == "p02prod-rhs":
-        return poch_product(INT, order, [(-1, 1, 2, 1), (1, 4, 4, -1), (-1, 2, 4, -2)])
-    if name == "crank-gf":
-        ring = LaurentRing(("x",))
-        return poch_product(
-            ring, order,
-            [(ring.one, 1, 1, 1),
-             (ring.monomial(x=1), 1, 1, -1),
-             (ring.monomial(x=-1), 1, 1, -1)],
-        )
-    raise ValueError(f"unknown series expression {expr!r}")
+    if name not in SERIES:
+        raise ValueError(f"unknown series expression {expr!r}")
+    return SERIES[name](order, arg)
 
 
 def _laurent_json(elem) -> list[dict]:

@@ -3,9 +3,9 @@
 A series carries its truncation order explicitly; arithmetic never looks at
 coefficients at or beyond it, and binary operations truncate to the smaller
 order.  Infinite products are built factor by factor: each factor
-(1 - elem*q**d) is one O(order) pass that multiplies or divides a single
-coefficient list in place, so no convolutions are needed for
-pochhammer-style series.
+(1 - elem*q**d) is one O(order) pass (`Series.mul_one_minus` or
+`div_one_minus`), so no convolutions are needed for pochhammer-style
+series.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ class Series:
             coeffs = list(coeffs)
             if len(coeffs) < order:
                 coeffs.extend([ring.zero] * (order - len(coeffs)))
-            self.coeffs = coeffs[:order]
-
-    @classmethod
-    def zero(cls, ring, order: int) -> "Series":
-        return cls(ring, order)
+            del coeffs[order:]
+            self.coeffs = coeffs
 
     @classmethod
     def one(cls, ring, order: int) -> "Series":
@@ -106,17 +103,17 @@ class Series:
         """Multiply by (1 - elem * q**d)."""
         if d < 0:
             raise ValueError("negative exponent in factor")
-        c = list(self.coeffs)
-        _mul_pass(c, self.ring, elem, d)
-        return Series(self.ring, self.order, c)
+        s = Series(self.ring, self.order, self.coeffs)
+        _mul_pass(s.coeffs, self.ring, elem, d)
+        return s
 
     def div_one_minus(self, elem, d: int) -> "Series":
         """Divide by (1 - elem * q**d), d >= 1."""
         if d < 1:
             raise ValueError("division needs a positive q-power")
-        c = list(self.coeffs)
-        _div_pass(c, self.ring, elem, d)
-        return Series(self.ring, self.order, c)
+        s = Series(self.ring, self.order, self.coeffs)
+        _div_pass(s.coeffs, self.ring, elem, d)
+        return s
 
     def inverse(self) -> "Series":
         ring = self.ring
@@ -200,10 +197,13 @@ def poch_product(ring, order: int, factors: Iterable[tuple[object, int, int, int
 
     Each factor is (a; q**step)_infinity ** exponent truncated, with
     a = elem * q**q_power.  Negative exponents need q_power >= 1 so every
-    factor is invertible.  Every pass runs in place on one coefficient list.
+    factor is invertible.  Each (1 - a*q**(k*step)) is one
+    `Series.mul_one_minus` or `div_one_minus` pass.
+    An elem equal to 1 or -1 is written as the int in every ring: the passes
+    compare it with ring.one and add or subtract without multiplying, so one
+    factor list serves every ring.
     """
     s = Series.one(ring, order)
-    c = s.coeffs
     for elem, q_power, step, exponent in factors:
         if step < 1:
             raise ValueError("step must be positive")
@@ -211,16 +211,40 @@ def poch_product(ring, order: int, factors: Iterable[tuple[object, int, int, int
             raise ValueError("non-invertible leading factor")
         if exponent > 0 and q_power < 0:
             raise ValueError("negative exponent in factor")
-        kernel = _mul_pass if exponent > 0 else _div_pass
         for d in range(q_power, order, step):
             for _ in range(abs(exponent)):
-                kernel(c, ring, elem, d)
+                s = s.mul_one_minus(elem, d) if exponent > 0 else s.div_one_minus(elem, d)
     return s
 
 
 def partition_count_series(order: int) -> Series:
     """1/(q;q)_infinity: the generating function of p(n)."""
     return poch_product(INT, order, [(1, 1, 1, -1)])
+
+
+def t_core_series(t: int, order: int) -> Series:
+    """(q^t;q^t)^t / (q;q): the generating function of the t-cores."""
+    return poch_product(INT, order, [(1, t, t, t), (1, 1, 1, -1)])
+
+
+def crank_factors(x, x_inv) -> list[tuple[object, int, int, int]]:
+    """(q;q) / ((xq;q)(q/x;q)), the crank generating function, as factors."""
+    return [(1, 1, 1, 1), (x, 1, 1, -1), (x_inv, 1, 1, -1)]
+
+
+# (q^4;q^4)(-q;q^2), the product of the sum of q^(k(k+1)/2) and the head of
+# the (St-crank, srank) product; plain int elements serve every ring
+TRIANGULAR_FACTORS = ((1, 4, 4, 1), (-1, 1, 2, 1))
+
+
+def rambest_series(order: int) -> Series:
+    """5 (q^5;q^5)^5 / (q;q)^6, Ramanujan's sum of p(5n+4) q^n."""
+    return poch_product(INT, order, [(1, 5, 5, 5), (1, 1, 1, -6)]).scaled(5)
+
+
+def p02prod_series(order: int) -> Series:
+    """(-q;q^2) / ((q^4;q^4)(-q^2;q^4)^2), the sum of (p0(n) - p2(n)) q^n."""
+    return poch_product(INT, order, [(-1, 1, 2, 1), (1, 4, 4, -1), (-1, 2, 4, -2)])
 
 
 def theta_jtp(ring, order: int, z=None, z_inv=None) -> Series:

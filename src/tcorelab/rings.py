@@ -141,9 +141,6 @@ class Laurent:
         inv = self.ring._norm_exp(tuple(-e for e in exps))
         return Laurent(self.ring, {inv: coeff})
 
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(self.ring._norm_exp(exps), 0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
 

@@ -44,10 +44,15 @@ from .partitions import (
     rim_hook_removals,
 )
 from .qseries import (
+    TRIANGULAR_FACTORS,
     Series,
+    crank_factors,
     hexagonal_theta_sum,
+    p02prod_series,
     partition_count_series,
     poch_product,
+    rambest_series,
+    t_core_series,
     theta_jtp,
     triangular_theta,
 )
@@ -91,7 +96,6 @@ class CheckDef:
 
 REGISTRY: dict[str, CheckDef] = {}
 EXPECTED_COUNTEREXAMPLE = {"CHK-AB5JR"}
-_MEMO: dict[tuple, CheckReport] = {}
 
 
 class Mismatch(Exception):
@@ -133,10 +137,9 @@ def register(check_id: str, summary: str, **defaults):
 
 
 def run_check(check_id: str, **overrides) -> CheckReport:
-    """Run one check, memoized per parameter set.  A negative parameter
-    raises ValueError before the check runs.  A ValueError raised inside the
-    check becomes an "error" report, which is not memoized: it depends on
-    the enumeration bound as well as on the parameters."""
+    """Run one check.  A negative parameter raises ValueError before the
+    check runs; a ValueError raised inside the check becomes an "error"
+    report."""
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     definition = REGISTRY[check_id]
@@ -152,19 +155,13 @@ def run_check(check_id: str, **overrides) -> CheckReport:
     for key, value in params.items():
         if value < 0:
             raise ValueError(f"check {check_id} needs {key} >= 0, got {value}")
-    key = (check_id, tuple(sorted(params.items())))
-    if key in _MEMO:
-        return _MEMO[key]
     start = time.perf_counter()
     try:
         status, witness = definition.func(params)
     except ValueError as exc:
         status, witness = "error", {"error": str(exc)}
-    report = CheckReport(check_id, params, status, witness,
-                         elapsed=time.perf_counter() - start)
-    if status != "error":
-        _MEMO[key] = report
-    return report
+    return CheckReport(check_id, params, status, witness,
+                       elapsed=time.perf_counter() - start)
 
 
 def run_all(**overrides) -> list[CheckReport]:
@@ -173,8 +170,8 @@ def run_all(**overrides) -> list[CheckReport]:
 
 
 def clear_memo() -> None:
-    """Forget every report and every process-wide table."""
-    _MEMO.clear()
+    """Empty both process-wide tables, so the next check recomputes from
+    scratch."""
     _weight_table.cache_clear()
     _core_tally.cache_clear()
 
@@ -218,21 +215,11 @@ class WeightTable:
         if self.n > 255:
             raise ValueError(f"a weight table packs one part per byte, so it holds "
                              f"weights up to 255, not {self.n}")
-        missing = [name for name in dict.fromkeys(names) if name not in self.filled]
-        if self.packed is not None:
-            for name in missing:
+        if self.packed is None:
+            self.packed = b"\0".join(map(bytes, enumerate_partitions(self.n)))
+        for name in names:
+            if name not in self.filled:
                 self.filled[name] = array("h", map(_column_function(name), self.partitions()))
-            return
-        functions = [_column_function(name) for name in missing]
-        filled = [array("h") for _ in missing]
-        packed = bytearray()
-        for p in enumerate_partitions(self.n):
-            packed += bytes(p)
-            packed.append(0)
-            for fn, column in zip(functions, filled):
-                column.append(fn(p))
-        self.packed = bytes(packed[:-1])
-        self.filled.update(zip(missing, filled))
 
     def total(self) -> int:
         """p(n), the number of partitions of the weight."""
@@ -280,6 +267,8 @@ def class_counts(
         raise ValueError(f"unknown statistic {statistic!r}")
     if filter_name is not None and filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}")
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
     column, keep = FILTERS.get(filter_name, (statistic, None))
     out = {r: 0 for r in range(modulus)}
     for (value, tag), c in _weight_table(n).joint(statistic, column).items():
@@ -474,8 +463,7 @@ def _chk_crankgf(params):
     lhs = _tally_series(ring, order, ("ag-crank",), lambda c, m: ring.monomial(c, x=m))
     if order > 1:
         lhs.coeffs[1] = x + xi - ring.one
-    rhs = poch_product(ring, order, [(ring.one, 1, 1, 1), (x, 1, 1, -1), (xi, 1, 1, -1)])
-    expect_same(lhs, rhs)
+    expect_same(lhs, poch_product(ring, order, crank_factors(x, xi)))
 
 
 @register("CHK-GREF5", "crank mod 10 refines crank mod 2 on 5n+4", max_n=49)
@@ -502,7 +490,7 @@ def _chk_rsgf(params):
         ring, order,
         [
             (ring.monomial(-1, z=1, y=1), 1, 2, 1),
-            (ring.one, 4, 4, -1),
+            (1, 4, 4, -1),
             (ring.monomial(z=2), 2, 4, -1),
             (ring.monomial(y=2), 2, 4, -1),
         ],
@@ -514,7 +502,7 @@ def _chk_rsgf(params):
 def _chk_p02prod(params):
     order = params["order"]
     lhs = _tally_series(INT, order, ("srank",), lambda c, s: c if s % 4 == 0 else -c)
-    rhs = poch_product(INT, order, [(-1, 1, 2, 1), (1, 4, 4, -1), (-1, 2, 4, -2)])
+    rhs = p02prod_series(order)
     if (k := lhs.first_difference(rhs)) is not None:
         fail({"q_power": k, "lhs": lhs.coeffs[k], "rhs": rhs.coeffs[k]})
 
@@ -548,8 +536,7 @@ def _lemma1_product(ring, order, x, x_inv, y2, y2_inv):
     return poch_product(
         ring, order,
         [
-            (ring.one, 4, 4, 1),
-            (ring.from_int(-1), 1, 2, 1),
+            *TRIANGULAR_FACTORS,
             (x, 4, 4, -1),
             (x_inv, 4, 4, -1),
             (y2 * x, 2, 4, -1),
@@ -571,8 +558,7 @@ def _chk_lemma1(params):
 
 def _g_at_xi(order: int, y_squared: int) -> Series:
     """The (St-crank, srank) product at x = xi, y^2 = +-1, over Z[xi]."""
-    sign = CYC5.from_int(y_squared)
-    return _lemma1_product(CYC5, order, CYC5.xi(1), CYC5.xi(4), sign, sign)
+    return _lemma1_product(CYC5, order, CYC5.xi(1), CYC5.xi(4), y_squared, y_squared)
 
 
 def _xi_theta(order: int) -> Series:
@@ -588,21 +574,21 @@ def _xi_theta(order: int) -> Series:
           order=60)
 def _chk_coeffz(params):
     order = params["order"]
-    for y_squared in (1, -1):
-        series = _g_at_xi(order, y_squared)
+    products = {y_squared: _g_at_xi(order, y_squared) for y_squared in (1, -1)}
+    for y_squared, series in products.items():
         for n in range(4, order, 5):
             if series.coeffs[n] != CYC5.zero:
                 fail({"y_squared": y_squared, "q_power": n,
                       "coefficient": repr(series.coeffs[n])})
     # composite route: g(xi,1,q) * (q^10;q^10) equals the double theta sum
     # over m(m+1) + k(k+1)/2, i.e. the xi-theta times the triangular theta
-    lhs = _g_at_xi(order, 1) * poch_product(CYC5, order, [(CYC5.one, 10, 10, 1)])
+    lhs = products[1] * poch_product(CYC5, order, [(1, 10, 10, 1)])
     rhs = _xi_theta(order) * triangular_theta(CYC5, order)
     expect_same(lhs, rhs, route="composite")
     # triple-product specialization at xi^2, order-2 arguments
     jt_lhs = poch_product(
         CYC5, order,
-        [(CYC5.xi(2), 2, 2, 1), (CYC5.xi(3), 2, 2, 1), (CYC5.one, 2, 2, 1)],
+        [(CYC5.xi(2), 2, 2, 1), (CYC5.xi(3), 2, 2, 1), (1, 2, 2, 1)],
     )
     expect_same(jt_lhs, _xi_theta(order), route="triple-product")
 
@@ -634,7 +620,7 @@ def _chk_tcoregf(params):
     order, enum_n = params["order"], params["enum_n"]
     top = max(order - 1, enum_n)
     for t in range(params["t_min"], params["t_max"] + 1):
-        series = poch_product(INT, order, [(1, t, t, t), (1, 1, 1, -1)])
+        series = t_core_series(t, order)
         tally = core_tally(t, top, "charge-residue")
         if off := [w for w, residue in tally if residue and w <= top]:
             fail({"t": t, "weight": min(off), "reason": "weight residue mismatch"})
@@ -646,8 +632,7 @@ def _chk_tcoregf(params):
             if filtered != vec_counts[n]:
                 fail({"t": t, "n": n, "filtered": filtered, "vectors": vec_counts[n]})
     # 2-cores are exactly the staircases: a_2(n) = 1 iff n is triangular
-    series2 = poch_product(INT, order, [(1, 2, 2, 2), (1, 1, 1, -1)])
-    if (n := series2.first_difference(triangular_theta(INT, order))) is not None:
+    if (n := t_core_series(2, order).first_difference(triangular_theta(INT, order))) is not None:
         fail({"t": 2, "n": n, "reason": "staircase criterion"})
 
 
@@ -678,12 +663,11 @@ def _chk_g2(params):
     ring = LaurentRing(("x", "w"), cyclic={"w": 4})
     names = ("two-quotient-rank", "srank")
     lhs = _tally_series(ring, order, names, lambda c, m, s: ring.monomial(c, x=m, w=s % 4))
-    rhs = poch_product(ring, order, [(ring.one, 4, 4, 1), (ring.from_int(-1), 1, 2, 1)])
-    d = 2
-    while d < order:
-        rhs = rhs.div_one_minus(ring.monomial(x=1, w=d % 4), d)
-        rhs = rhs.div_one_minus(ring.monomial(x=-1, w=d % 4), d)
-        d += 2
+    # (q^4;q^4)(-q;q^2) / prod over even d of (1 - x w^d q^d)(1 - w^d q^d / x)
+    rhs = poch_product(ring, order, [
+        *TRIANGULAR_FACTORS,
+        (ring.monomial(x=1, w=2), 2, 4, -1), (ring.monomial(x=1), 4, 4, -1),
+        (ring.monomial(x=-1, w=2), 2, 4, -1), (ring.monomial(x=-1), 4, 4, -1)])
     expect_same(lhs, rhs, route="symbolic")
     # specializations omega^2 = +-1 against the (St-crank, srank) product
     xring = LaurentRing(("x",))
@@ -691,7 +675,7 @@ def _chk_g2(params):
         spec = _tally_series(xring, order, names,
                              lambda c, m, s: xring.monomial(c * sign ** ((s // 2) % 2), x=m))
         rhs2 = _lemma1_product(xring, order, xring.monomial(x=1), xring.monomial(x=-1),
-                               xring.from_int(sign), xring.from_int(sign))
+                               sign, sign)
         expect_same(spec, rhs2, route=f"omega^2={sign}")
 
 
@@ -700,27 +684,22 @@ def _chk_g2(params):
 def _chk_g3(params):
     order = params["order"]
     ring = LaurentRing(("x",))
-    x1 = ring.monomial(x=1)
+    x, xi = ring.monomial(x=1), ring.monomial(x=-1)
 
     def crank_shape(n: int) -> Series:
-        base = poch_product(
-            ring, n,
-            [(ring.one, 1, 1, 1), (ring.monomial(x=1), 1, 1, -1),
-             (ring.monomial(x=-1), 1, 1, -1)],
-        )
-        return base.scaled(x1 + ring.one + ring.monomial(x=-1))
+        return poch_product(ring, n, crank_factors(x, xi)).scaled(x + 1 + xi)
 
     # product identity for the shifted hexagonal theta (the displayed form
     # without the linear exponent has mismatched constant terms; the change
     # of variables produces n^2 + nm + m^2 + n + m)
     lhs = hexagonal_theta_sum(ring, order, lambda n, m: ring.monomial(x=n - m),
                               shifted=True)
+    # the (q^3;q^3) factors run first, while the coefficients are still sparse
     rhs = poch_product(
         ring, order,
-        [(ring.one, 1, 1, 1), (ring.one, 3, 3, 1),
-         (ring.monomial(x=3), 3, 3, 1), (ring.monomial(x=-3), 3, 3, 1),
-         (ring.monomial(x=1), 1, 1, -1), (ring.monomial(x=-1), 1, 1, -1)],
-    ).scaled(x1 + ring.one + ring.monomial(x=-1))
+        [(1, 3, 3, 1), (ring.monomial(x=3), 3, 3, 1), (ring.monomial(x=-3), 3, 3, 1),
+         *crank_factors(x, xi)],
+    ).scaled(x + 1 + xi)
     expect_same(lhs, rhs, route="hexagonal-theta")
 
     # n-vector sum over 3-cores, divided by the quotient legs; the numerator
@@ -734,7 +713,7 @@ def _chk_g3(params):
     expect_same(numerator, lhs, route="numerator-vs-theta")
     legs = poch_product(
         ring, order,
-        [(ring.one, 3, 3, -1), (ring.monomial(x=3), 3, 3, -1),
+        [(1, 3, 3, -1), (ring.monomial(x=3), 3, 3, -1),
          (ring.monomial(x=-3), 3, 3, -1)],
     )
     expect_same(numerator * legs, crank_shape(order), route="n-vector-sum")
@@ -805,9 +784,7 @@ def _chk_5core(params):
         a5 = count[5 * k - 1]
         if alpha_counts[k] != a5:
             fail({"route": "alpha-form", "Q": k, "alpha_count": alpha_counts[k], "a5": a5})
-    gf_order = 5 * order
-    core_gf = poch_product(INT, gf_order, [(1, 5, 5, 5), (1, 1, 1, -1)])
-    sifted = core_gf.sift(5, 4)
+    sifted = t_core_series(5, 5 * order).sift(5, 4)
     for n in range(min(order - 1, sifted.order)):
         if sifted.coeff(n) != count[5 * n + 4]:
             fail({"route": "series-sift", "n": n})
@@ -1151,7 +1128,7 @@ def _chk_fj(params):
         CYC5, xi_order,
         [(CYC5.xi(1), 2, 2, -1), (CYC5.xi(4), 2, 2, -1)],
     )
-    rhs = _xi_theta(xi_order) * poch_product(CYC5, xi_order, [(CYC5.one, 10, 10, -1)])
+    rhs = _xi_theta(xi_order) * poch_product(CYC5, xi_order, [(1, 10, 10, -1)])
     expect_same(lhs, rhs, route="cyclotomic")
 
 
@@ -1217,7 +1194,7 @@ def _chk_ab5j4(params):
           order=1000)
 def _chk_jtpa(params):
     order = params["order"]
-    lhs = poch_product(INT, order, [(1, 4, 4, 1), (-1, 1, 2, 1)])
+    lhs = poch_product(INT, order, TRIANGULAR_FACTORS)
     expect_same(lhs, triangular_theta(INT, order), route="triangular")
     mid = poch_product(INT, order, [(1, 4, 4, 1), (-1, 3, 4, 1), (-1, 1, 4, 1)])
     expect_same(lhs, mid, route="regrouped-product")
@@ -1228,7 +1205,7 @@ def _chk_jtpa(params):
 def _chk_rambest(params):
     order = params["order"]
     lhs = partition_count_series(5 * order + 5).sift(5, 4)
-    rhs = poch_product(INT, order, [(1, 5, 5, 5), (1, 1, 1, -6)]).scaled(5)
+    rhs = rambest_series(order)
     if (k := lhs.first_difference(rhs, order)) is not None:
         fail({"q_power": k, "lhs": lhs.coeffs[k], "rhs": rhs.coeffs[k]})
 
@@ -1237,16 +1214,13 @@ def _chk_rambest(params):
           order=100)
 def _chk_jtp(params):
     order = params["order"]
-    for z in (1, -1):
-        lhs = theta_jtp(INT, order, z, z)
-        rhs = poch_product(INT, order, [(1, 2, 2, 1), (-z, 1, 2, 1), (-z, 1, 2, 1)])
-        expect_same(lhs, rhs, z=z)
-    ring = LaurentRing(("z",))
-    z = ring.monomial(z=1)
-    zi = ring.monomial(z=-1)
-    lhs = theta_jtp(ring, order, z, zi)
-    rhs = poch_product(ring, order, [(ring.one, 2, 2, 1), (-z, 1, 2, 1), (-zi, 1, 2, 1)])
-    expect_same(lhs, rhs, z="symbolic")
+    zring = LaurentRing(("z",))
+    cases = [(INT, 1, 1, 1), (INT, -1, -1, -1),
+             (zring, zring.monomial(z=1), zring.monomial(z=-1), "symbolic")]
+    for ring, z, zi, label in cases:
+        lhs = theta_jtp(ring, order, z, zi)
+        rhs = poch_product(ring, order, [(1, 2, 2, 1), (-z, 1, 2, 1), (-zi, 1, 2, 1)])
+        expect_same(lhs, rhs, z=label)
 
 
 def search_counterexample(family: str, max_weight: int = 60) -> CheckReport:

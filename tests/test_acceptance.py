@@ -188,13 +188,13 @@ def test_criterion_11_run_all():
     assert not failures, failures
     total = sum(r.elapsed for r in reports)
     assert total < 600.0, f"registry took {total:.1f}s"
-    # determinism: rerunning a sample of checks outside the memo, with every
-    # process-wide table cleared in between, reproduces the reports exactly
+    # determinism: rerunning a sample of checks, with every process-wide
+    # table cleared in between, reproduces the reports exactly
     for check_id in ("CHK-RAMBEST", "CHK-FJ", "CHK-BGRALT"):
         definition = verify.REGISTRY[check_id]
         first = definition.func(dict(definition.defaults))
         verify.clear_memo()
         second = definition.func(dict(definition.defaults))
         assert first == second
-        memoized = verify.run_check(check_id)
-        assert (memoized.status, memoized.witness) == first
+        again = verify.run_check(check_id)
+        assert (again.status, again.witness) == first

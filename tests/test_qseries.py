@@ -108,6 +108,19 @@ class TestPassKernel:
     @given(data=st.data(), ring_name=st.sampled_from(sorted(RINGS)),
            order=st.integers(min_value=1, max_value=16))
     @settings(max_examples=100, deadline=None)
+    def test_unit_elements_written_as_ints(self, data, ring_name, order):
+        # a factor elem of 1 or -1 is the plain int in every ring
+        ring, elems = RINGS[ring_name]
+        factors = data.draw(factor_lists(elems | st.sampled_from([1, -1]), order))
+        in_ring = [(ring.from_int(elem) if isinstance(elem, int) else elem, *rest)
+                   for elem, *rest in factors]
+        got = poch_product(ring, order, factors).coeffs
+        assert got == poch_product(ring, order, in_ring).coeffs
+        assert got == oracle_product(ring, order, in_ring).coeffs
+
+    @given(data=st.data(), ring_name=st.sampled_from(sorted(RINGS)),
+           order=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=100, deadline=None)
     def test_single_passes_copy(self, data, ring_name, order):
         ring, elems = RINGS[ring_name]
         s = Series(ring, order, data.draw(st.lists(elems, min_size=order, max_size=order)))

@@ -84,3 +84,46 @@ def test_only_the_weight_table_enumerates():
     outside = [node.lineno for node in names if id(node) not in inside]
     assert outside == [], f"verify.py names enumerate_partitions on lines {outside}"
     assert len(names) == 1, "WeightTable no longer enumerates"
+
+
+def _poch_product_calls(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "poch_product"]
+
+
+def test_each_factor_list_is_written_once():
+    # a product that a check verifies and another reader builds is defined
+    # once, in qseries, so the copies cannot drift apart
+    seen: dict[str, str] = {}
+    repeated = []
+    for path in SOURCES:
+        for call in _poch_product_calls(path):
+            factors = call.args[2] if len(call.args) > 2 else None
+            if not isinstance(factors, (ast.List, ast.Tuple)):
+                continue
+            key = ast.dump(factors)
+            where = f"{path.name}:{call.lineno}"
+            if key in seen:
+                repeated.append(f"{where} repeats {seen[key]}")
+            seen.setdefault(key, where)
+    assert seen, "no factor list found"
+    assert repeated == [], repeated
+
+
+def test_poch_product_builds_every_product():
+    # every product in the package goes through poch_product, which runs
+    # each factor as one mul_one_minus / div_one_minus pass
+    calls = []
+    builders = 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        builder = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "poch_product"]
+        builders += len(builder)
+        inside = {id(node) for fn in builder for node in ast.walk(fn)}
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and id(node) not in inside
+                  and node.attr in ("mul_one_minus", "div_one_minus")]
+    assert builders == 1
+    assert calls == [], f"factor passes called outside poch_product at {calls}"

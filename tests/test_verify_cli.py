@@ -115,6 +115,11 @@ class TestClassCounts:
         with pytest.raises(ValueError):
             verify.class_counts(5, "srank", 5, "no-such-filter")
 
+    @pytest.mark.parametrize("modulus", [0, -3])
+    def test_modulus_below_one(self, modulus):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            verify.class_counts(5, "srank", modulus)
+
     def test_five_core_filter(self):
         counts = verify.class_counts(9, "five-core-crank", 5, "is-5-core")
         assert counts == {k: 1 for k in range(5)}
@@ -322,11 +327,6 @@ class TestRegistry:
         b = verify.run_check("CHK-RAMBEST", order=12)
         assert a.to_json() == b.to_json()
 
-    def test_memoized(self):
-        a = verify.run_check("CHK-JTP", order=40)
-        b = verify.run_check("CHK-JTP", order=40)
-        assert a is b
-
     def test_counterexample_search(self):
         report = verify.search_counterexample("ab5jr", 60)
         assert report.status == "counterexample-found"
@@ -404,7 +404,7 @@ class TestRegistry:
             "id": "CHK-RAM5", "params": {"max_n": 30, "order": 200}, "status": "error",
             "witness": {"error": "enumeration of partitions of 24 exceeds the bound 20"}}
         assert not report.ok()
-        # not memoized: the outcome depends on the bound, not only on the parameters
+        # the outcome depends on the bound, not only on the parameters
         monkeypatch.delenv("TCORELAB_MAX_N")
         assert verify.run_check("CHK-RAM5", max_n=30).status == "pass"
         verify.clear_memo()
@@ -447,16 +447,18 @@ class TestRegistry:
 
     def test_a_warm_table_keeps_the_bound(self, monkeypatch):
         # a check reads the same error whether the tables are cold or were
-        # filled under a higher bound
+        # filled under a higher bound, by the same parameters or larger ones
         verify.clear_memo()
         monkeypatch.setenv("TCORELAB_MAX_N", "20")
         witness = {"error": "enumeration of partitions of 24 exceeds the bound 20"}
+        warm = []
         try:
             cold = verify.run_check("CHK-ANDREWS", max_n=29)
-            monkeypatch.delenv("TCORELAB_MAX_N")
-            assert verify.run_check("CHK-ANDREWS", max_n=34).status == "pass"
-            monkeypatch.setenv("TCORELAB_MAX_N", "20")
-            warm = [verify.run_check(cid, max_n=29) for cid in ("CHK-ANDREWS", "CHK-RAM5")]
+            for unbounded_n in (29, 34):
+                monkeypatch.delenv("TCORELAB_MAX_N")
+                assert verify.run_check("CHK-ANDREWS", max_n=unbounded_n).status == "pass"
+                monkeypatch.setenv("TCORELAB_MAX_N", "20")
+                warm += [verify.run_check(cid, max_n=29) for cid in ("CHK-ANDREWS", "CHK-RAM5")]
         finally:
             verify.clear_memo()
         for report in (cold, *warm):
@@ -648,6 +650,14 @@ class TestCli:
         assert {"monomial": {"x": 1}, "coeff": 1} in out["coefficients"][1]
         assert {"monomial": {"x": -1}, "coeff": 1} in out["coefficients"][1]
         assert {"monomial": {}, "coeff": -1} in out["coefficients"][1]
+
+    SERIES_GOLDEN = json.loads((GOLDEN / "series.json").read_text())
+
+    @pytest.mark.parametrize("expr", sorted(SERIES_GOLDEN))
+    def test_series_matches_golden(self, expr, capsys):
+        # every named expression at order 30, byte for byte
+        assert main(["series", "--expr", expr, "--order", "30"]) == 0
+        assert capsys.readouterr().out == self.SERIES_GOLDEN[expr]
 
     def test_series_unknown(self, capsys):
         assert main(["series", "--expr", "nope"]) == 2
