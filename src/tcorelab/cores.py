@@ -131,19 +131,21 @@ def _partition_from_colors(
         raise ValueError(f"charges must sum to zero, got {tuple(charges)}")
     if not bead_parts:
         bead_parts = [()] * t
-    floor = min(
-        (charges[i] - len(bead_parts[i]) - 1) * t + i for i in range(t)
-    )
+    # min over a list costs less than over a generator at these lengths
+    floor = min([(charges[i] - len(bead_parts[i]) - 1) * t + i for i in range(t)])
     contents: list[int] = []
     for i in range(t):
         c = charges[i]
         lam = bead_parts[i]
         for x, v in enumerate(lam, start=1):
             contents.append((v + c - x) * t + i)
-        q = c - len(lam) - 1
-        while q * t + i > floor:
-            contents.append(q * t + i)
-            q -= 1
+        # the undisplaced beads of colour i, down to the common floor; one
+        # bead is appended, as a range costs more than one append
+        top = (c - len(lam) - 1) * t + i
+        if top > floor + t:
+            contents += range(top, floor, -t)
+        elif top > floor:
+            contents.append(top)
     contents.sort(reverse=True)
     if len(contents) != -floor - 1:
         raise ValueError(
@@ -174,9 +176,13 @@ def phi1_inv(cq: CoreQuotient) -> Partition:
     t, core, quotient = cq
     if len(quotient) != t:
         raise ValueError(f"quotient must have {t} components")
-    if not is_t_core(core, t):
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    # a t-core is a partition whose t-quotient is empty, and its charges
+    # are its n-vector, so one reading of its beads tests it and gives both
+    charges, core_beads = _charges_and_bead_parts(core, t)
+    if any(core_beads):
         raise ValueError(f"{core!r} has a rim hook of length {t}")
-    charges = phi2(core, t)
     bead_parts = tuple(tuple(q.conjugate()) for q in quotient)
     return _partition_from_colors(t, charges, bead_parts)
 

@@ -15,6 +15,8 @@ exactly moving one bead down by L onto an empty position.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
+from operator import neg
 from typing import Iterator, NamedTuple, Sequence
 
 DEFAULT_MAX_ENUM_N = 60
@@ -131,13 +133,29 @@ class Partition(tuple):
     # -- elementary operations ----------------------------------------------
 
     def conjugate(self) -> "Partition":
-        """Transpose of the diagram: lambda'_j = #{i : lambda_i >= j}."""
+        """Transpose of the diagram: lambda'_j = #{i : lambda_i >= j}.
+
+        One step per run of equal parts, bottom run first: when the run of
+        part a ends at row r and the rows below it have parts of at most
+        `below`, columns below+1..a all have length r.  A partition of n has
+        at most sqrt(2n) runs.  The start of a run of two or more rows is a
+        bisection, which a run of one row skips.  Each run of equal column
+        lengths is one list product, which costs less than
+        `extend(repeat(...))` when the run is a few cells long.
+        """
         if not self:
             return self
-        cols = [0] * self[0]
-        for part in self:
-            for j in range(part):
-                cols[j] += 1
+        cols: list[int] = []
+        below = 0
+        end = len(self)
+        while end:
+            part = self[end - 1]
+            cols += [end] * (part - below)
+            below = part
+            end -= 1
+            if end and self[end - 1] == part:
+                # the rows above the run are those with a larger part
+                end = bisect_left(self, -part, 0, end, key=neg)
         return Partition(cols)
 
     def odd_part_count(self) -> int:
@@ -291,6 +309,15 @@ def strip_to_core(p: Partition, t: int) -> Partition:
 
 
 def is_t_core(p: Partition, t: int) -> bool:
+    """True when no border strip of t cells can be removed.
+
+    The bead test of :func:`rim_hook_removals` without building a removal:
+    it stops at the first bead that can move down by t onto an empty
+    position above the solid tail.
+    """
     if t < 2:
         raise ValueError("t must be at least 2")
-    return not rim_hook_removals(p, t)
+    beta = beta_contents(p)
+    occupied = set(beta)
+    tail_top = -len(beta) - 1
+    return all(b - t in occupied or b - t <= tail_top for b in beta)

@@ -9,10 +9,11 @@ throughout, so renderings are byte-stable.
 
 from __future__ import annotations
 
-from . import stats
+# verify imports this module too; the weight table is read at call time
+from . import stats, verify
 from .cores import phi1
 from .orbits import orbit
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 
 
 def freq_notation(p: Partition) -> str:
@@ -27,7 +28,7 @@ def table1_data(n: int = 9) -> dict:
         (s, k): [] for s in (0, 2) for k in range(5)
     }
     total = 0
-    for p in enumerate_partitions(n):
+    for p in verify._weight_table(n).partitions():
         total += 1
         cells[(stats.srank(p) % 4, stats.st_crank(p) % 5)].append(p)
     for members in cells.values():
@@ -80,7 +81,7 @@ def table2_data(n: int = 9) -> dict:
     seen: set[Partition] = set()
     orbits = []
     total = 0
-    for p in enumerate_partitions(n):
+    for p in verify._weight_table(n).partitions():
         total += 1
         if p in seen:
             continue

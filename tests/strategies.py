@@ -31,3 +31,31 @@ def partitions(draw, max_weight: int = 300) -> Partition:
 def partitions_4_mod_5(draw, max_weight: int = 204) -> Partition:
     """A partition of weight 5k+4 <= max_weight."""
     return _partition_of(draw, 5 * draw(st.integers(0, (max_weight - 4) // 5)) + 4)
+
+
+def _long_parts(draw, max_weight: int) -> list[int]:
+    """Up to eight distinct sizes, each repeated up to thousands of times."""
+    # small sizes as often as large ones, so runs reach thousands of parts
+    one_size = st.one_of(st.integers(1, 9), st.integers(10, 1000))
+    sizes = draw(st.lists(one_size, min_size=1, max_size=8, unique=True))
+    parts: list[int] = []
+    budget = max_weight
+    for size in sizes:
+        if size <= budget:
+            copies = draw(st.integers(1, min(5000, budget // size)))
+            parts += [size] * copies
+            budget -= size * copies
+    return parts
+
+
+@st.composite
+def long_partitions(draw, max_weight: int = 20_000) -> Partition:
+    """A partition of weight <= max_weight made of a few long runs of equal parts."""
+    return Partition.from_parts(_long_parts(draw, max_weight))
+
+
+@st.composite
+def long_partitions_4_mod_5(draw, max_weight: int = 20_000) -> Partition:
+    """As long_partitions, padded with ones to a weight of 4 (mod 5)."""
+    parts = _long_parts(draw, max_weight)
+    return Partition.from_parts(parts + [1] * ((4 - sum(parts)) % 5))

@@ -10,6 +10,7 @@ import pytest
 from tcorelab import verify
 from tcorelab.cores import (
     CoreQuotient,
+    _charges_and_bead_parts,
     _partition_from_colors,
     alpha_from_n,
     capital_phi,
@@ -84,8 +85,23 @@ class TestPhi1:
                     assert phi1(p, t).core == strip_to_core(p, t)
 
     def test_inverse_rejects_bad_core(self):
-        with pytest.raises(ValueError):
+        # phi1_inv reads the core's beads once: a non-empty reading is a hook
+        with pytest.raises(ValueError, match=r"^Partition\(2\) has a rim hook of length 2$"):
             phi1_inv(CoreQuotient(2, Partition((2,)), (Partition(), Partition())))
+        with pytest.raises(ValueError, match=r"has a rim hook of length 5$"):
+            phi1_inv(CoreQuotient(5, Partition((6, 1)), (Partition(),) * 5))
+        with pytest.raises(ValueError, match="quotient must have 5 components"):
+            phi1_inv(CoreQuotient(5, Partition(), (Partition(),) * 4))
+        with pytest.raises(ValueError, match="t must be at least 2"):
+            phi1_inv(CoreQuotient(1, Partition(), (Partition(),)))
+
+    def test_core_beads_give_phi2(self):
+        # phi1_inv reads a core's charges off its beads; phi2 counts residues
+        for n in range(15):
+            for p in enumerate_partitions(n):
+                for t in range(2, 6):
+                    core = phi1(p, t).core
+                    assert _charges_and_bead_parts(core, t) == (phi2(core, t), ((),) * t)
 
     def test_reassembly_rejects_unbalanced_beads(self):
         # three charges for two colours: the third is ignored, so the bead

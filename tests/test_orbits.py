@@ -147,7 +147,7 @@ class TestTheta:
             assert core_srank_mod4(5, theta_vector(nvec)) == core_srank_mod4(5, nvec)
 
     def test_rejects_non_core(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Partition\(5\) is not a 5-core$"):
             theta(P((5,)))
 
 
@@ -167,7 +167,7 @@ class TestQuadrupleShift:
             assert core_srank_mod4(5, img_vec) == 0
 
     def test_rejects_non_core(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Partition\(5\) is not a 5-core$"):
             map_4n_plus_3(P((5,)))
 
 

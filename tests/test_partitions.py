@@ -10,6 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcorelab.partitions import (
     BoundExceededError,
@@ -23,6 +25,8 @@ from tcorelab.partitions import (
     rim_hook_removals,
     strip_to_core,
 )
+
+from strategies import partitions
 
 
 @lru_cache(maxsize=None)
@@ -70,9 +74,9 @@ class TestCanonicalForm:
         assert Partition.from_parts([3, 3, 3]) == (3, 3, 3)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parts must be nonincreasing, got \(1, 2\)$"):
             Partition((1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parts must be positive integers, got 0$"):
             Partition((2, 0))
         with pytest.raises(ValueError):
             Partition.from_parts([3, -1])
@@ -216,6 +220,17 @@ class TestRimHooks:
         # strip; it is one of the two 5-cores of weight 5
         assert rim_hook_removals(Partition((3, 2)), 5) == []
         assert is_t_core(Partition((3, 2)), 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=partitions(), t=st.integers(2, 12))
+    def test_is_t_core_matches_removals(self, p, t):
+        # is_t_core stops at the first movable bead; rim_hook_removals
+        # builds every removal
+        assert is_t_core(p, t) == (not rim_hook_removals(p, t))
+
+    def test_is_t_core_rejects_small_t(self):
+        with pytest.raises(ValueError, match="t must be at least 2"):
+            is_t_core(Partition((1,)), 1)
 
     def test_count_matches_hook_lengths(self):
         for n in range(17):
