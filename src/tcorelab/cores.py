@@ -20,8 +20,10 @@ form Q(alpha) then gives the core weight as 5*Q(alpha) - 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
+from operator import add, neg
 from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import (
@@ -100,65 +102,124 @@ def _charges_and_bead_parts(
     Returns (charges, bead_parts); bead_parts[i] is the raw bead reading of
     colour i (conjugate of the published quotient component), as a plain
     nonincreasing tuple.
+
+    The beads are read bottom up.  The k-th bead of colour i above its tail
+    (the beads below -len(p)) would sit at quotient q_i + k in the ground
+    state, q_i being the top of the tail.  Its reading is how far above that
+    it sits, a bead that reads 0 is left out, and q_i + k + 1 after the last
+    bead is the charge.  A run of equal parts has consecutive contents, so
+    each colour takes a block of consecutive quotients from it, all with one
+    reading.  A run of 3t or more parts, where each block holds at least
+    three beads, costs one step per colour, and its start is found by
+    bisection, as in `Partition.conjugate`; a shorter run costs one step
+    per part.
     """
-    nu = len(p)
-    tail_top = -nu - 1
-    displaced: list[list[int]] = [[] for _ in range(t)]
-    for b in beta_contents(p):
-        displaced[b % t].append(b // t)
-    charges = []
-    bead_parts = []
-    for i in range(t):
-        q_tail = (tail_top - i) // t
-        extras = displaced[i]  # strictly decreasing, all > q_tail
-        c = q_tail + 1 + len(extras)
-        lam = []
-        for x, e in enumerate(extras, start=1):
-            v = e + x - c
-            if v <= 0:
-                break
-            lam.append(v)
-        charges.append(c)
-        bead_parts.append(tuple(lam))
-    return tuple(charges), tuple(bead_parts)
+    end = len(p)
+    run = 3 * t
+    # ground[i]: the ground quotient of the next bead of colour i
+    ground = [(-end - 1 - i) // t + 1 for i in range(t)]
+    readings: list[list[int]] = [[] for _ in range(t)]
+    while end >= run:
+        a = p[end - 1]
+        if p[end - run] == a:
+            # rows start+1..end hold part a, contents a-end..a-start-1
+            start = bisect_left(p, -a, 0, end - run, key=neg)
+            top = a - start
+            for b in range(a - end, a - end + t):
+                i = b % t
+                count = (top - 1 - b) // t + 1
+                v = b // t - ground[i]
+                ground[i] += count
+                if v > 0:
+                    readings[i] += [v] * count
+            end = start
+        else:
+            b = a - end
+            i = b % t
+            v = b // t - ground[i]
+            ground[i] += 1
+            if v > 0:
+                readings[i].append(v)
+            end -= 1
+    # the top 3t - 1 rows hold no run of 3t parts
+    while end:
+        b = p[end - 1] - end
+        i = b % t
+        v = b // t - ground[i]
+        ground[i] += 1
+        if v > 0:
+            readings[i].append(v)
+        end -= 1
+    return tuple(ground), tuple([tuple(r[::-1]) for r in readings])
+
+
+# a run of this many equal readings is laid down as one range, which costs
+# less than that many appends
+_READING_RUN = 4
 
 
 def _partition_from_colors(
     t: int, charges: Sequence[int], bead_parts: Sequence[Sequence[int]]
 ) -> Partition:
-    """Reassemble a partition from per-colour charges and bead readings."""
+    """Reassemble a partition from per-colour charges and bead readings.
+
+    bead_parts is empty (a t-core) or holds one reading per colour.  The
+    x-th displaced bead of colour i sits at quotient v + c - x (v its
+    reading, c the charge), and the rest fill every quotient from
+    c - len(reading) - 1 down, so the lowest empty position of colour i is
+    (c - len(reading)) * t + i.  The lowest of these, `gap`, is minus the
+    number of parts: the beads above it are the beta contents, and part x
+    is content x plus x, one C-level pass over the sorted contents.  A run
+    of equal readings gives contents t apart, laid down as one range; so do
+    the undisplaced beads of each colour.
+    """
+    if len(charges) != t:
+        raise ValueError(f"expected {t} charges, got {tuple(charges)}")
     if sum(charges) != 0:
         raise ValueError(f"charges must sum to zero, got {tuple(charges)}")
     if not bead_parts:
         bead_parts = [()] * t
+    elif len(bead_parts) != t:
+        raise ValueError(f"expected {t} bead readings, got {len(bead_parts)}")
     # min over a list costs less than over a generator at these lengths
-    floor = min([(charges[i] - len(bead_parts[i]) - 1) * t + i for i in range(t)])
+    gap = min([(charges[i] - len(bead_parts[i])) * t + i for i in range(t)])
     contents: list[int] = []
     for i in range(t):
         c = charges[i]
         lam = bead_parts[i]
-        for x, v in enumerate(lam, start=1):
-            contents.append((v + c - x) * t + i)
-        # the undisplaced beads of colour i, down to the common floor; one
-        # bead is appended, as a range costs more than one append
-        top = (c - len(lam) - 1) * t + i
-        if top > floor + t:
-            contents += range(top, floor, -t)
-        elif top > floor:
+        n = len(lam)
+        if n < _READING_RUN:
+            for x, v in enumerate(lam, start=1):
+                contents.append((v + c - x) * t + i)
+        else:
+            # bottom up, as the split reads them
+            x = n
+            while x:
+                v = lam[x - 1]
+                if x >= _READING_RUN and lam[x - _READING_RUN] == v:
+                    start = bisect_left(lam, -v, 0, x - _READING_RUN, key=neg)
+                    contents += range((v + c - start - 1) * t + i,
+                                      (v + c - x - 1) * t + i, -t)
+                    x = start
+                else:
+                    contents.append((v + c - x) * t + i)
+                    x -= 1
+        # the undisplaced beads down to the gap; one bead is appended, as a
+        # range costs more than one append
+        top = (c - n - 1) * t + i
+        if top >= gap + t:
+            contents += range(top, gap - 1, -t)
+        elif top >= gap:
             contents.append(top)
     contents.sort(reverse=True)
-    if len(contents) != -floor - 1:
+    if len(contents) != -gap:
         raise ValueError(
             f"bead bookkeeping out of balance for t={t}, charges {tuple(charges)}"
         )
-    parts = []
-    for x, b in enumerate(contents, start=1):
-        lam = b + x
-        if lam <= 0:
-            break
-        parts.append(lam)
-    # distinct contents give nonincreasing positive parts
-    return Partition._trusted(parts)
+    # distinct contents give nonincreasing positive parts; they go through a
+    # list, as a tuple grown from the map by reallocation raised the peak
+    # memory of the registry checks by about 1.5 MiB
+    return Partition._trusted(list(map(add, contents, range(1, 1 - gap))))
 
 
 def phi1(p: Partition, t: int) -> CoreQuotient:
@@ -183,7 +244,7 @@ def phi1_inv(cq: CoreQuotient) -> Partition:
     charges, core_beads = _charges_and_bead_parts(core, t)
     if any(core_beads):
         raise ValueError(f"{core!r} has a rim hook of length {t}")
-    bead_parts = tuple(tuple(q.conjugate()) for q in quotient)
+    bead_parts = tuple(q.conjugate() for q in quotient)
     return _partition_from_colors(t, charges, bead_parts)
 
 

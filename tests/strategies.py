@@ -33,16 +33,26 @@ def partitions_4_mod_5(draw, max_weight: int = 204) -> Partition:
     return _partition_of(draw, 5 * draw(st.integers(0, (max_weight - 4) // 5)) + 4)
 
 
+# Run lengths on either side of the block thresholds of the bead kernels,
+# for t = 2..9: t, where a run first reaches every colour; 3t, from which
+# the split reads a run as one block per colour; and 4t, from which a
+# colour's block holds the four equal readings that reassembly lays down as
+# one range.
+BOUNDARY_RUNS = sorted({m * t + d for t in range(2, 10) for m in (1, 3, 4)
+                        for d in (-1, 0, 1)})
+
+
 def _long_parts(draw, max_weight: int) -> list[int]:
     """Up to eight distinct sizes, each repeated up to thousands of times."""
     # small sizes as often as large ones, so runs reach thousands of parts
     one_size = st.one_of(st.integers(1, 9), st.integers(10, 1000))
     sizes = draw(st.lists(one_size, min_size=1, max_size=8, unique=True))
+    run = st.one_of(st.sampled_from(BOUNDARY_RUNS), st.integers(1, 5000))
     parts: list[int] = []
     budget = max_weight
     for size in sizes:
         if size <= budget:
-            copies = draw(st.integers(1, min(5000, budget // size)))
+            copies = min(draw(run), budget // size)
             parts += [size] * copies
             budget -= size * copies
     return parts

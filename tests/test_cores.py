@@ -104,10 +104,44 @@ class TestPhi1:
                     assert _charges_and_bead_parts(core, t) == (phi2(core, t), ((),) * t)
 
     def test_reassembly_rejects_unbalanced_beads(self):
-        # three charges for two colours: the third is ignored, so the bead
-        # count cannot balance even though the charges sum to zero
+        # three charges for two colours, summing to zero: rejected for their
+        # number before any bead is laid down
         with pytest.raises(ValueError):
             _partition_from_colors(2, (1, 0, -1), ())
+
+    def test_reassembly_rejects_extra_charges(self):
+        # the first two of these sum to zero too, so they once gave (1)
+        with pytest.raises(ValueError, match="expected 2 charges"):
+            _partition_from_colors(2, (1, -1, 0), ())
+
+    def test_reassembly_rejects_missing_charges(self):
+        with pytest.raises(ValueError, match="expected 3 charges"):
+            _partition_from_colors(3, (1, -1), ())
+
+    def test_reassembly_rejects_short_bead_parts(self):
+        with pytest.raises(ValueError, match="expected 3 bead readings, got 2"):
+            _partition_from_colors(3, (0, 0, 0), ((1,), ()))
+
+    def test_reassembly_rejects_long_bead_parts(self):
+        with pytest.raises(ValueError, match="expected 2 bead readings, got 3"):
+            _partition_from_colors(2, (0, 0), ((1,), (), ()))
+
+    def test_reassembly_rejects_charges_off_zero(self):
+        with pytest.raises(ValueError, match="charges must sum to zero"):
+            _partition_from_colors(2, (1, 0), ())
+
+    def test_reassembly_counts_its_beads(self):
+        # with t charges and t readings the bead count always balances (it
+        # is minus the lowest gap exactly when the charges sum to zero), so
+        # only a reading whose length disagrees with its beads is left for
+        # the bookkeeping check
+        class Short(tuple):
+            def __len__(self):
+                return 1
+
+        assert _partition_from_colors(2, (0, 0), ((2, 1), ())) == Partition((3, 1, 1, 1))
+        with pytest.raises(ValueError, match="bead bookkeeping out of balance"):
+            _partition_from_colors(2, (0, 0), (Short((2, 1)), ()))
 
     def test_quotient_part_counts_match(self):
         for n in range(16):

@@ -1,17 +1,21 @@
 """The bead-layer kernels on long partitions with few distinct part sizes.
 
-`Partition.conjugate` takes one step per run of equal parts and bead
-reassembly lays down each colour's undisplaced beads as one range, where
-the earlier kernels took one step per cell and per bead.  At weights up to
-about 20,000 these tests hold them to independent routes: the cell-set
-transpose for the conjugate, the per-bead loops that the kernels replaced
-(copied below as the reference route), and the capital_phi route for the
-orbit maps.
+`Partition.conjugate` takes one step per run of equal parts.  The bead
+split reads a run of 3t or more equal parts as one block per colour, and
+reassembly lays down a run of four or more equal readings, and each
+colour's undisplaced beads, as one range, where the earlier kernels took
+one step per cell, part and bead.  At weights up to about 20,000, with run
+lengths drawn on both sides of those thresholds, these tests hold them to
+independent routes: the cell-set transpose for the conjugate, the per-bead
+loops that the kernels replaced (copied below as the reference route), and
+the capital_phi route for the orbit maps.  Every partition of n <= 20 is
+also checked against the per-bead loops at each t = 2..9.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcorelab.cores import (
     _charges_and_bead_parts,
@@ -22,9 +26,9 @@ from tcorelab.cores import (
     phi1_inv,
 )
 from tcorelab.orbits import c1_shift, c2_shift, orbit_images
-from tcorelab.partitions import Partition, beta_contents
+from tcorelab.partitions import Partition, beta_contents, enumerate_partitions
 
-from strategies import long_partitions, long_partitions_4_mod_5
+from strategies import long_partitions, long_partitions_4_mod_5, partitions
 from test_partitions import conjugate_oracle
 
 T_RANGE = range(2, 10)
@@ -107,6 +111,32 @@ def test_split_and_reassembly_match_per_bead_loops(p):
         moved = bead_parts[1:] + bead_parts[:1]
         assert (_partition_from_colors(t, charges, moved)
                 == reassemble_by_bead(t, charges, moved))
+
+
+def test_split_and_reassembly_match_per_bead_loops_exhaustively():
+    for n in range(21):
+        for p in enumerate_partitions(n):
+            for t in T_RANGE:
+                charges, bead_parts = split_by_bead(p, t)
+                assert _charges_and_bead_parts(p, t) == (charges, bead_parts)
+                assert (_partition_from_colors(t, charges, bead_parts)
+                        == reassemble_by_bead(t, charges, bead_parts) == p)
+                assert (_partition_from_colors(t, charges, ())
+                        == reassemble_by_bead(t, charges, ()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(partitions(), long_partitions()))
+def test_reassembly_is_canonical(p):
+    # reassembly wraps its parts without validation, so each result must
+    # pass the validating constructor unchanged
+    for t in T_RANGE:
+        charges, bead_parts = _charges_and_bead_parts(p, t)
+        moved = bead_parts[1:] + bead_parts[:1]
+        for readings in (bead_parts, (), moved):
+            r = _partition_from_colors(t, charges, readings)
+            assert type(r) is Partition
+            assert Partition(tuple(r)) == r
 
 
 @settings(max_examples=40, deadline=None)

@@ -131,3 +131,21 @@ def test_poch_product_builds_every_product():
                   and node.attr in ("mul_one_minus", "div_one_minus")]
     assert builders == 1
     assert calls == [], f"factor passes called outside poch_product at {calls}"
+
+
+def test_trusted_partitions_come_from_two_producers():
+    # Partition._trusted skips validation, so it stays with the two
+    # producers that are canonical by construction
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                # an inner function walks later and claims its own nodes
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        callers += [f"{path.stem}.{owner.get(id(node), '<module>')}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
+    assert sorted(callers) == ["cores._partition_from_colors",
+                               "partitions.enumerate_partitions"]
