@@ -119,9 +119,9 @@ def _charges_and_bead_parts(
     # ground[i]: the ground quotient of the next bead of colour i
     ground = [(-end - 1 - i) // t + 1 for i in range(t)]
     readings: list[list[int]] = [[] for _ in range(t)]
-    while end >= run:
+    while end:
         a = p[end - 1]
-        if p[end - run] == a:
+        if end >= run and p[end - run] == a:
             # rows start+1..end hold part a, contents a-end..a-start-1
             start = bisect_left(p, -a, 0, end - run, key=neg)
             top = a - start
@@ -141,20 +141,11 @@ def _charges_and_bead_parts(
             if v > 0:
                 readings[i].append(v)
             end -= 1
-    # the top 3t - 1 rows hold no run of 3t parts
-    while end:
-        b = p[end - 1] - end
-        i = b % t
-        v = b // t - ground[i]
-        ground[i] += 1
-        if v > 0:
-            readings[i].append(v)
-        end -= 1
     return tuple(ground), tuple([tuple(r[::-1]) for r in readings])
 
 
-# a run of this many equal readings is laid down as one range, which costs
-# less than that many appends
+# a run of this many equal readings is laid down as one range; thresholds
+# of 3 to 8 time alike, and 2 is slower on the readings of small partitions
 _READING_RUN = 4
 
 
@@ -169,9 +160,10 @@ def _partition_from_colors(
     c - len(reading) - 1 down, so the lowest empty position of colour i is
     (c - len(reading)) * t + i.  The lowest of these, `gap`, is minus the
     number of parts: the beads above it are the beta contents, and part x
-    is content x plus x, one C-level pass over the sorted contents.  A run
-    of equal readings gives contents t apart, laid down as one range; so do
-    the undisplaced beads of each colour.
+    is content x plus x, one C-level pass over the sorted contents.  A bead
+    laid at the gap (a reading of 0 or less) is rejected with ValueError.
+    A run of equal readings gives contents t apart, laid down as one range;
+    so do the undisplaced beads of each colour.
     """
     if len(charges) != t:
         raise ValueError(f"expected {t} charges, got {tuple(charges)}")
@@ -188,22 +180,18 @@ def _partition_from_colors(
         c = charges[i]
         lam = bead_parts[i]
         n = len(lam)
-        if n < _READING_RUN:
-            for x, v in enumerate(lam, start=1):
+        # bottom up, as the split reads them
+        x = n
+        while x:
+            v = lam[x - 1]
+            if x >= _READING_RUN and lam[x - _READING_RUN] == v:
+                start = bisect_left(lam, -v, 0, x - _READING_RUN, key=neg)
+                contents += range((v + c - start - 1) * t + i,
+                                  (v + c - x - 1) * t + i, -t)
+                x = start
+            else:
                 contents.append((v + c - x) * t + i)
-        else:
-            # bottom up, as the split reads them
-            x = n
-            while x:
-                v = lam[x - 1]
-                if x >= _READING_RUN and lam[x - _READING_RUN] == v:
-                    start = bisect_left(lam, -v, 0, x - _READING_RUN, key=neg)
-                    contents += range((v + c - start - 1) * t + i,
-                                      (v + c - x - 1) * t + i, -t)
-                    x = start
-                else:
-                    contents.append((v + c - x) * t + i)
-                    x -= 1
+                x -= 1
         # the undisplaced beads down to the gap; one bead is appended, as a
         # range costs more than one append
         top = (c - n - 1) * t + i
@@ -212,7 +200,10 @@ def _partition_from_colors(
         elif top >= gap:
             contents.append(top)
     contents.sort(reverse=True)
-    if len(contents) != -gap:
+    # the count balances whenever the charges sum to zero, so the guard
+    # that bites is the gap itself: only a reading of 0 or less lays a bead
+    # there
+    if len(contents) != -gap or gap and contents[-1] <= gap:
         raise ValueError(
             f"bead bookkeeping out of balance for t={t}, charges {tuple(charges)}"
         )

@@ -47,12 +47,15 @@ def _long_parts(draw, max_weight: int) -> list[int]:
     # small sizes as often as large ones, so runs reach thousands of parts
     one_size = st.one_of(st.integers(1, 9), st.integers(10, 1000))
     sizes = draw(st.lists(one_size, min_size=1, max_size=8, unique=True))
-    run = st.one_of(st.sampled_from(BOUNDARY_RUNS), st.integers(1, 5000))
     parts: list[int] = []
     budget = max_weight
     for size in sizes:
         if size <= budget:
-            copies = min(draw(run), budget // size)
+            # BOUNDARY_RUNS holds 1, so no cap leaves the sample empty
+            cap = min(5000, budget // size)
+            copies = draw(st.one_of(
+                st.sampled_from([r for r in BOUNDARY_RUNS if r <= cap]),
+                st.integers(1, cap)))
             parts += [size] * copies
             budget -= size * copies
     return parts

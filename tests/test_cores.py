@@ -131,17 +131,14 @@ class TestPhi1:
             _partition_from_colors(2, (1, 0), ())
 
     def test_reassembly_counts_its_beads(self):
-        # with t charges and t readings the bead count always balances (it
-        # is minus the lowest gap exactly when the charges sum to zero), so
-        # only a reading whose length disagrees with its beads is left for
-        # the bookkeeping check
-        class Short(tuple):
-            def __len__(self):
-                return 1
-
+        # with t charges summing to zero the bead count always balances, so
+        # the bookkeeping check bites on the gap: a reading of 0 at the
+        # colour of the lowest gap lays a bead there
         assert _partition_from_colors(2, (0, 0), ((2, 1), ())) == Partition((3, 1, 1, 1))
         with pytest.raises(ValueError, match="bead bookkeeping out of balance"):
-            _partition_from_colors(2, (0, 0), (Short((2, 1)), ()))
+            _partition_from_colors(2, (0, 0), ((0,), ()))
+        with pytest.raises(ValueError, match="bead bookkeeping out of balance"):
+            _partition_from_colors(3, (0, 1, -1), ((), (), (2, 0)))
 
     def test_quotient_part_counts_match(self):
         for n in range(16):
