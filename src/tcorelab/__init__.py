@@ -20,7 +20,6 @@ from .orbits import (
     c2_shift,
     map_4n_plus_3,
     orbit,
-    orbit_images,
     orbit_map,
     orbit_map_s,
     theta,

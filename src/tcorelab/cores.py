@@ -154,8 +154,13 @@ def _partition_from_colors(
 ) -> Partition:
     """Reassemble a partition from per-colour charges and bead readings.
 
-    bead_parts is empty (a t-core) or holds one reading per colour.  The
-    x-th displaced bead of colour i sits at quotient v + c - x (v its
+    bead_parts is empty (a t-core) or holds one reading per colour.  Each
+    reading must be nonincreasing, which is not checked: a rising one lays
+    two beads at one position and gives a non-canonical result.  Callers
+    pass the split's own readings, possibly moved between colours, or
+    conjugates of partitions.
+
+    The x-th displaced bead of colour i sits at quotient v + c - x (v its
     reading, c the charge), and the rest fill every quotient from
     c - len(reading) - 1 down, so the lowest empty position of colour i is
     (c - len(reading)) * t + i.  The lowest of these, `gap`, is minus the

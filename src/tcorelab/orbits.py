@@ -17,12 +17,14 @@ from .cores import (
     _partition_from_colors,
     alpha_from_n,
     five_core_beads,
-    is_t_core,
     n_from_alpha,
     phi2,
     phi2_inv,
 )
 from .partitions import Partition
+
+# (charges, bead readings) of a partition at t = 5
+BeadKey = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 def c1_shift(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -42,34 +44,24 @@ def c2_shift(q5: Sequence[Partition]) -> tuple[Partition, ...]:
     return (q5[4], q5[2], q5[3], q5[0], q5[1])
 
 
-def _rotated_beads(
-    p: Partition,
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """One orbit step in bead space, before reassembly: the charges with
-    their alpha-vector rotated, and the bead readings of p unchanged.  The
-    maps reassemble from these (the shifted one after permuting the bead
-    slots), which equals the capital_phi route without conjugating."""
-    charges, bead_parts = five_core_beads(p)
-    return n_from_alpha(c1_shift(alpha_from_n(charges))), bead_parts
+def orbit_step(key: BeadKey) -> tuple[BeadKey, BeadKey]:
+    """One orbit step in bead space: the unshifted and the shifted image keys
+    of key = (charges, bead readings), as five_core_beads gives it.  Both
+    rotate the alpha-vector of the charges; the shifted one also permutes the
+    reading slots.  Reassembled, they equal the capital_phi route."""
+    charges, bead_parts = key
+    rotated = n_from_alpha(c1_shift(alpha_from_n(charges)))
+    return (rotated, bead_parts), (rotated, c2_shift(bead_parts))
 
 
 def orbit_map(p: Partition) -> Partition:
     """Rotate the alpha-vector, keep the quotient: crank steps by 1 mod 5."""
-    charges, bead_parts = _rotated_beads(p)
-    return _partition_from_colors(5, charges, bead_parts)
+    return _partition_from_colors(5, *orbit_step(five_core_beads(p))[0])
 
 
 def orbit_map_s(p: Partition) -> Partition:
     """Shifted orbit map: also permutes quotient slots, preserving srank mod 4."""
-    charges, bead_parts = _rotated_beads(p)
-    return _partition_from_colors(5, charges, c2_shift(bead_parts))
-
-
-def orbit_images(p: Partition) -> tuple[Partition, Partition]:
-    """(orbit_map(p), orbit_map_s(p)) from one reading of the beads of p."""
-    charges, bead_parts = _rotated_beads(p)
-    return (_partition_from_colors(5, charges, bead_parts),
-            _partition_from_colors(5, charges, c2_shift(bead_parts)))
+    return _partition_from_colors(5, *orbit_step(five_core_beads(p))[1])
 
 
 def theta_vector(nvec: Sequence[int]) -> tuple[int, ...]:
@@ -86,8 +78,6 @@ def theta_vector(nvec: Sequence[int]) -> tuple[int, ...]:
 
 def theta(core5: Partition) -> Partition:
     """Bijection from 5-cores of n onto 5-cores of 5n+4 with crank 0 mod 5."""
-    if not is_t_core(core5, 5):
-        raise ValueError(f"{core5!r} is not a 5-core")
     return phi2_inv(theta_vector(phi2(core5, 5)))
 
 
@@ -99,8 +89,6 @@ def quadruple_shift_vector(nvec: Sequence[int]) -> tuple[int, ...]:
 
 def map_4n_plus_3(core5: Partition) -> Partition:
     """Bijection from 5-cores of n onto srank-0 (mod 4) 5-cores of 4n+3."""
-    if not is_t_core(core5, 5):
-        raise ValueError(f"{core5!r} is not a 5-core")
     return phi2_inv(quadruple_shift_vector(phi2(core5, 5)))
 
 

@@ -281,20 +281,17 @@ def triangular_theta(ring, order: int) -> Series:
     return s
 
 
-def hexagonal_theta_sum(ring, order: int, term, shifted: bool = False) -> Series:
-    """Sum of term(n, m) over the hexagonal quadratic form.
+def hexagonal_theta_sum(ring, order: int, term) -> Series:
+    """Sum of term(n, m) over the shifted hexagonal quadratic form.
 
-    Places term(n, m) at q**(n*n + n*m + m*m) for all integers n, m; with
-    shifted=True the exponent gains the linear part n + m (the form on the
-    lattice translated by (1/3, 1/3), up to the constant 1/3).
+    Places term(n, m) at q**(n*n + n*m + m*m + n + m) for all integers n, m:
+    the form on the lattice translated by (1/3, 1/3), up to the constant 1/3.
     """
     s = Series(ring, order)
     bound = isqrt(2 * order) + 3
     for n in range(-bound, bound + 1):
         for m in range(-bound, bound + 1):
-            e = n * n + n * m + m * m
-            if shifted:
-                e += n + m
+            e = n * n + n * m + m * m + n + m
             if 0 <= e < order:
                 s.coeffs[e] = s.coeffs[e] + term(n, m)
     return s

@@ -17,16 +17,18 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import repeat, starmap, tee
+from itertools import islice, repeat, starmap, tee
 from math import isqrt
 from typing import Callable, Iterator, NoReturn
 
 from . import cores, stats, tables
 from .cores import (
     CoreQuotient,
+    _partition_from_colors,
     alpha_from_n,
     core_weight_from_vector,
     count_t_cores_by_filter,
+    five_core_beads,
     iter_core_vectors,
     phi1,
     phi1_inv,
@@ -34,7 +36,7 @@ from .cores import (
     phi2_inv,
     q3,
 )
-from .orbits import orbit_images, quadruple_shift_vector, theta_vector
+from .orbits import orbit_step, quadruple_shift_vector, theta_vector
 from .partitions import (
     Partition,
     add_cell,
@@ -692,8 +694,7 @@ def _chk_g3(params):
     # product identity for the shifted hexagonal theta (the displayed form
     # without the linear exponent has mismatched constant terms; the change
     # of variables produces n^2 + nm + m^2 + n + m)
-    lhs = hexagonal_theta_sum(ring, order, lambda n, m: ring.monomial(x=n - m),
-                              shifted=True)
+    lhs = hexagonal_theta_sum(ring, order, lambda n, m: ring.monomial(x=n - m))
     # the (q^3;q^3) factors run first, while the coefficients are still sparse
     rhs = poch_product(
         ring, order,
@@ -823,7 +824,9 @@ def _chk_orbit(params):
         images = (array("i"), array("i"))
         shifted_fault = None
         for p, k in index.items():
-            for shifted, q, positions in zip((False, True), orbit_images(p), images):
+            keys = orbit_step(five_core_beads(p))
+            for shifted, key, positions in zip((False, True), keys, images):
+                q = _partition_from_colors(5, *key)
                 j = index.get(q, -1)
                 positions.append(j)
                 if j < 0:
@@ -847,15 +850,15 @@ def _chk_orbit(params):
                 fail({"n": n, "shifted": shifted, "reason": "not a bijection"})
             if len(step) % 5:
                 fail({"n": n, "reason": "p(n) not divisible by 5"})
-            for k, p in enumerate(index):
-                j = k
-                seen = []
-                for _ in range(5):
-                    j = step[j]
-                    seen.append(j)
-                if j != k or len(set(seen)) != 5:
+            # each step moves the crank by one, so the fifth power is the
+            # identity unless the map has a cycle longer than five
+            power = step
+            for _ in range(4):
+                power = array("i", map(step.__getitem__, power))
+            for k, j in enumerate(power):
+                if j != k:
                     fail({"n": n, "shifted": shifted, "reason": "order",
-                          "partition": list(p)})
+                          "partition": list(next(islice(index, k, None)))})
 
 
 @register("CHK-THM3", "5-core crank mod 5 splits p0(5n+4) and p2(5n+4) evenly",

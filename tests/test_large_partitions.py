@@ -8,7 +8,7 @@ one step per cell, part and bead.  At weights up to about 20,000, with run
 lengths drawn on both sides of those thresholds, these tests hold them to
 independent routes: the cell-set transpose for the conjugate, the per-bead
 loops that the kernels replaced (copied below as the reference route), and
-the capital_phi route for the orbit maps.  Every partition of n <= 20 is
+the capital_phi route for the orbit step.  Every partition of n <= 20 is
 also checked against the per-bead loops at each t = 2..9.
 """
 
@@ -22,10 +22,11 @@ from tcorelab.cores import (
     _partition_from_colors,
     capital_phi,
     capital_phi_inv,
+    five_core_beads,
     phi1,
     phi1_inv,
 )
-from tcorelab.orbits import c1_shift, c2_shift, orbit_images
+from tcorelab.orbits import c1_shift, c2_shift, orbit_step
 from tcorelab.partitions import Partition, beta_contents, enumerate_partitions
 
 from strategies import long_partitions, long_partitions_4_mod_5, partitions
@@ -141,7 +142,11 @@ def test_reassembly_is_canonical(p):
 
 @settings(max_examples=40, deadline=None)
 @given(p=long_partitions_4_mod_5())
-def test_orbit_images_match_capital_phi(p):
+def test_orbit_step_matches_capital_phi(p):
     alpha, quotient = capital_phi(p)
-    assert orbit_images(p) == (capital_phi_inv(c1_shift(alpha), quotient),
-                               capital_phi_inv(c1_shift(alpha), c2_shift(quotient)))
+    keys = orbit_step(five_core_beads(p))
+    images = tuple(_partition_from_colors(5, *key) for key in keys)
+    assert images == (capital_phi_inv(c1_shift(alpha), quotient),
+                      capital_phi_inv(c1_shift(alpha), c2_shift(quotient)))
+    # the split of each image gives back its key
+    assert tuple(map(five_core_beads, images)) == keys

@@ -5,15 +5,23 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from tcorelab.cores import capital_phi, capital_phi_inv, iter_core_vectors, phi2, phi2_inv
+from tcorelab.cores import (
+    _partition_from_colors,
+    capital_phi,
+    capital_phi_inv,
+    five_core_beads,
+    iter_core_vectors,
+    phi2,
+    phi2_inv,
+)
 from tcorelab.orbits import (
     c1_shift,
     c2_shift,
     map_4n_plus_3,
     orbit,
-    orbit_images,
     orbit_map,
     orbit_map_s,
+    orbit_step,
     quadruple_shift_vector,
     theta,
     theta_vector,
@@ -116,20 +124,35 @@ class TestBeadSpaceRoute:
 
     @settings(max_examples=200, deadline=None)
     @given(p=partitions_4_mod_5())
-    def test_orbit_images_match_both_maps(self, p):
+    def test_orbit_step_matches_capital_phi(self, p):
         alpha, quotient = capital_phi(p)
-        images = orbit_images(p)
+        images = tuple(_partition_from_colors(5, *key)
+                       for key in orbit_step(five_core_beads(p)))
         assert images == (orbit_map(p), orbit_map_s(p))
         assert images == (capital_phi_inv(c1_shift(alpha), quotient),
                           capital_phi_inv(c1_shift(alpha), c2_shift(quotient)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=partitions_4_mod_5())
+    def test_orbit_step_has_order_five(self, p):
+        key = five_core_beads(p)
+        for shifted in (False, True):
+            image = key
+            for _ in range(5):
+                image = orbit_step(image)[shifted]
+            assert image == key
+
     def test_images_are_canonical(self):
-        # reassembly skips validation, so rebuild each image through it
+        # reassembly skips validation, so rebuild each image through it; the
+        # split of an image reassembled from a key gives back that key
         for n in (4, 9, 14, 19):
             for p in enumerate_partitions(n):
-                for q in (orbit_map(p), orbit_map_s(p), *orbit_images(p)):
-                    assert type(q) is P
-                    assert P(tuple(q)) == q
+                for key in orbit_step(five_core_beads(p)):
+                    q = _partition_from_colors(5, *key)
+                    assert five_core_beads(q) == key
+                    for r in (q, orbit_map(p), orbit_map_s(p)):
+                        assert type(r) is P
+                        assert P(tuple(r)) == r
 
 
 class TestTheta:

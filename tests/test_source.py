@@ -133,19 +133,32 @@ def test_poch_product_builds_every_product():
     assert calls == [], f"factor passes called outside poch_product at {calls}"
 
 
+def _owners(path, match):
+    """module.function of each node of the file that match accepts."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            # an inner function walks later and claims its own nodes
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    return [f"{path.stem}.{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree) if match(node)]
+
+
 def test_trusted_partitions_come_from_two_producers():
     # Partition._trusted skips validation, so it stays with the two
     # producers that are canonical by construction
-    callers = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        owner = {}
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef):
-                # an inner function walks later and claims its own nodes
-                owner.update((id(node), func.name) for node in ast.walk(func))
-        callers += [f"{path.stem}.{owner.get(id(node), '<module>')}"
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
+    callers = [where for path in SOURCES for where in _owners(
+        path, lambda node: isinstance(node, ast.Attribute) and node.attr == "_trusted")]
     assert sorted(callers) == ["cores._partition_from_colors",
                                "partitions.enumerate_partitions"]
+
+
+def test_one_orbit_step():
+    # the alpha rotation and the slot permutation are applied in one place,
+    # which both orbit maps and CHK-ORBIT go through
+    callers = [where for path in SOURCES for where in _owners(
+        path, lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("c1_shift", "c2_shift"))]
+    assert callers == ["orbits.orbit_step"] * 2

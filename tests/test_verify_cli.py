@@ -59,9 +59,10 @@ def _merge_two_cycles(q):
     return r2 if q == r1 else r1 if q == r2 else q
 
 
-# A faulty replacement for orbit_images, and the CHK-ORBIT witness at
-# max_n = 14, recorded when the check still mapped every partition with
-# orbit_map and then every partition with orbit_map_s.
+# A faulty pair of partition images, (unshifted, shifted), and the CHK-ORBIT
+# witness at max_n = 14, recorded when the check still mapped every
+# partition with orbit_map and then every partition with orbit_map_s.
+# _key_level turns a pair into a replacement for orbit_step.
 ORBIT_FAULTS = {
     "unshifted-identity": (
         lambda p: (p, orbit_map_s(p)),
@@ -93,6 +94,18 @@ ORBIT_FAULTS = {
         lambda p: (orbit_map(p), _merge_two_cycles(orbit_map_s(p))),
         {"n": 9, "shifted": True, "reason": "order", "partition": [7, 2]}),
 }
+
+
+def _key_level(images):
+    """orbit_step with its images replaced by images(p).
+
+    Each fake image's key is read back with the raw split, which, unlike
+    five_core_beads, also takes an image off the weight class.
+    """
+    def step(key):
+        p = cores._partition_from_colors(5, *key)
+        return tuple(cores._charges_and_bead_parts(q, 5) for q in images(p))
+    return step
 
 
 class TestClassCounts:
@@ -485,7 +498,7 @@ class TestRegistry:
     def test_orbit_fault_witnesses(self, fault, monkeypatch):
         images, witness = ORBIT_FAULTS[fault]
         verify.clear_memo()
-        monkeypatch.setattr(verify, "orbit_images", images)
+        monkeypatch.setattr(verify, "orbit_step", _key_level(images))
         try:
             report = verify.run_check("CHK-ORBIT", max_n=14)
         finally:
