@@ -11,7 +11,7 @@ series.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate
+from itertools import accumulate, chain, count, repeat, takewhile
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -258,27 +258,17 @@ def theta_jtp(ring, order: int, z=None, z_inv=None) -> Series:
         z_inv = ring.one
     if z_inv is None:
         raise ValueError("z_inv is required when z is given")
-    s = Series(ring, order)
-    s.coeffs[0] = ring.one
-    zp = ring.one
-    zm = ring.one
-    n = 1
-    while n * n < order:
-        zp = zp * z
-        zm = zm * z_inv
-        s.coeffs[n * n] = s.coeffs[n * n] + zp + zm
-        n += 1
-    return s
+    squares = takewhile(order.__gt__, (n * n for n in count(1)))
+    # z**n + z**-n for n = 1, 2, ...
+    pairs = map(operator.add, accumulate(repeat(z), operator.mul),
+                accumulate(repeat(z_inv), operator.mul))
+    return Series.from_terms(ring, order, chain([(0, ring.one)], zip(squares, pairs)))
 
 
 def triangular_theta(ring, order: int) -> Series:
     """Sum of q**(k*(k+1)/2) over k >= 0."""
-    s = Series(ring, order)
-    k = 0
-    while k * (k + 1) // 2 < order:
-        s.coeffs[k * (k + 1) // 2] = s.coeffs[k * (k + 1) // 2] + ring.one
-        k += 1
-    return s
+    triangulars = takewhile(order.__gt__, (k * (k + 1) // 2 for k in count()))
+    return Series.from_terms(ring, order, zip(triangulars, repeat(ring.one)))
 
 
 def hexagonal_theta_sum(ring, order: int, term) -> Series:
@@ -287,11 +277,8 @@ def hexagonal_theta_sum(ring, order: int, term) -> Series:
     Places term(n, m) at q**(n*n + n*m + m*m + n + m) for all integers n, m:
     the form on the lattice translated by (1/3, 1/3), up to the constant 1/3.
     """
-    s = Series(ring, order)
     bound = isqrt(2 * order) + 3
-    for n in range(-bound, bound + 1):
-        for m in range(-bound, bound + 1):
-            e = n * n + n * m + m * m + n + m
-            if 0 <= e < order:
-                s.coeffs[e] = s.coeffs[e] + term(n, m)
-    return s
+    span = range(-bound, bound + 1)
+    forms = ((n * n + n * m + m * m + n + m, n, m) for n in span for m in span)
+    return Series.from_terms(ring, order, (
+        (e, term(n, m)) for e, n, m in forms if 0 <= e < order))

@@ -1,4 +1,8 @@
-"""Classification tables for the partitions of 5n+4.
+"""Per-weight statistic tables, t-core tallies and the classification tables.
+
+The checks read partitions and statistic values from one `WeightTable` per
+weight and t-core counts from one `core_tally` walk; both are kept for the
+life of the process, until `clear_memo`.
 
 Table 1 groups partitions by (srank mod 4, St-crank mod 5); Table 2 lists
 the orbits of the shifted orbit map with the 5-core crank as column index,
@@ -9,11 +13,182 @@ throughout, so renderings are byte-stable.
 
 from __future__ import annotations
 
-# verify imports this module too; the weight table is read at call time
-from . import stats, verify
-from .cores import phi1
+import operator
+from array import array
+from collections import Counter
+from functools import lru_cache, partial
+from itertools import repeat, starmap, tee
+from typing import Callable, Iterator
+
+from . import stats
+from .cores import iter_core_vectors, phi1, phi2_inv
 from .orbits import orbit
-from .partitions import Partition
+from .partitions import Partition, check_enumeration_bound, enumerate_partitions, is_t_core
+
+
+def clear_memo() -> None:
+    """Empty both process-wide tables, so the next check recomputes from
+    scratch."""
+    weight_table.cache_clear()
+    _core_tally.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# per-weight statistic tables and t-core tallies
+
+# Columns beside stats.STATISTICS.  Every column function is looked up when a
+# column is filled, never bound at import, so wrappers installed around the
+# statistics see each call.
+COLUMNS: dict[str, Callable[[Partition], int]] = {
+    "odd-parts": lambda p: p.odd_part_count(),
+    "conjugate-odd-parts": lambda p: p.conjugate().odd_part_count(),
+    "is-5-core": lambda p: is_t_core(p, 5),
+    "has-repeated-even-part": lambda p: stats.has_repeated_even_part(p),
+}
+
+
+class WeightTable:
+    """The partitions of one weight, packed, and statistic columns over them.
+
+    The first read enumerates the weight once and keeps that enumeration as
+    one bytes object: the parts of each partition, one byte per part, with a
+    zero byte between partitions.  Every later read replays it, so a weight
+    is enumerated once however many columns and walks read it.  Entry k of
+    every column belongs to the k-th partition in enumeration order, so a
+    joint distribution is a Counter over zipped columns.  A column is filled
+    the first time a check reads it; every value is bounded by the weight in
+    absolute value, so 16-bit arrays hold them at any enumerable weight.
+    Every read checks the weight against the enumeration bound, so a table
+    filled under a higher bound answers as a cold one would.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.packed: bytes | None = None
+        self.filled: dict[str, array] = {}
+
+    def _fill(self, names: tuple[str, ...]) -> None:
+        check_enumeration_bound(self.n)
+        if self.n > 255:
+            raise ValueError(f"a weight table packs one part per byte, so it holds "
+                             f"weights up to 255, not {self.n}")
+        if self.packed is None:
+            self.packed = b"\0".join(map(bytes, enumerate_partitions(self.n)))
+        for name in names:
+            if name not in self.filled:
+                self.filled[name] = array("h", map(_column_function(name), self.partitions()))
+
+    def total(self) -> int:
+        """p(n), the number of partitions of the weight."""
+        self._fill(())
+        return self.packed.count(0) + 1
+
+    def partitions(self) -> Iterator[Partition]:
+        """The partitions of the weight in enumeration order, replayed."""
+        self._fill(())
+        return map(Partition._trusted, self.packed.split(b"\0"))
+
+    def columns(self, *names: str) -> tuple[array, ...]:
+        """The named columns, any missing ones filled in one pass."""
+        self._fill(names)
+        return tuple(self.filled[name] for name in names)
+
+    def joint(self, *names: str) -> Counter:
+        """Counts of the value tuples that the named columns take together."""
+        return Counter(zip(*self.columns(*names)))
+
+
+def _column_function(name: str) -> Callable[[Partition], int]:
+    return stats.STATISTICS.get(name) or COLUMNS[name]
+
+
+@lru_cache(maxsize=None)
+def weight_table(n: int) -> WeightTable:
+    """The process-wide table of weight n."""
+    return WeightTable(n)
+
+
+# filter name -> (column, test on its value)
+FILTERS: dict[str, tuple[str, Callable[[int], bool]]] = {
+    "srank-0-mod-4": ("srank", lambda s: s % 4 == 0),
+    "srank-2-mod-4": ("srank", lambda s: s % 4 == 2),
+    "is-5-core": ("is-5-core", bool),
+    "no-repeated-even-parts": ("has-repeated-even-part", operator.not_),
+}
+
+
+def class_counts(
+    n: int, statistic: str, modulus: int, filter_name: str | None = None
+) -> dict[int, int]:
+    """Exhaustive residue tally of a named statistic over the partitions of n."""
+    if statistic not in stats.STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if filter_name is not None and filter_name not in FILTERS:
+        raise ValueError(f"unknown filter {filter_name!r}")
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    column, keep = FILTERS.get(filter_name, (statistic, None))
+    out = {r: 0 for r in range(modulus)}
+    for (value, tag), c in weight_table(n).joint(statistic, column).items():
+        if keep is None or keep(tag):
+            out[value % modulus] += c
+    return out
+
+
+def _vectors(walk: Iterator) -> Iterator:
+    return map(operator.itemgetter(0), walk)
+
+
+def _five_core_crank_at(vec: tuple[int, ...], w: int) -> int | None:
+    # the crank is defined on the 5-cores of weight 4 (mod 5) only
+    return stats.five_core_crank_from_vector(vec) if w % 5 == 4 else None
+
+
+def _charge_residues(t: int, walk: Iterator) -> Iterator:
+    """(weight - (0,1,..,t-1).n) mod t along the walk, which the weight
+    formula makes 0."""
+    vecs, weights = tee(walk)
+    dots = map(sum, map(map, repeat(operator.mul), repeat(range(t)), _vectors(vecs)))
+    gaps = map(operator.sub, map(operator.itemgetter(1), weights), dots)
+    return map(operator.mod, gaps, repeat(t))
+
+
+# Columns of the t-core tallies.  Each entry maps t and a stream of
+# (n-vector, weight) pairs to the stream of its values, so a fill runs in
+# C-level iterators where it can.  Entries are looked up when a tally is
+# filled, and the statistics when an entry runs, like COLUMNS.
+CORE_COLUMNS: dict[str, Callable[[int, Iterator], Iterator]] = {
+    "srank-mod-4": lambda t, walk: map(partial(stats.core_srank_mod4, t), _vectors(walk)),
+    "five-core-crank": lambda t, walk: starmap(_five_core_crank_at, walk),
+    "bg-rank": lambda t, walk: map(stats.bg_rank, map(phi2_inv, _vectors(walk))),
+    "charge-residue": _charge_residues,
+}
+
+
+def core_tally(t: int, limit: int, *names: str) -> Counter:
+    """Counts of the (weight, *values) tuples that the named CORE_COLUMNS
+    take over the t-cores of weight <= limit.
+
+    One n-vector walk fills each tally, and the tally is kept for the life
+    of the process; do not mutate it.  The walk runs up to the next weight
+    t-1 (mod t), so bounds that differ by less than t share one tally: it
+    may hold weights past `limit`, and each reader stays within its own
+    bound.
+    """
+    return _core_tally(t, limit + (t - 1 - limit) % t, names)
+
+
+@lru_cache(maxsize=None)
+def _core_tally(t: int, top: int, names: tuple[str, ...]) -> Counter:
+    fills = [CORE_COLUMNS[name] for name in names]
+    # one streamed walk: the copies advance together, no vector is kept
+    walk, *copies = tee(iter_core_vectors(t, top), len(fills) + 1)
+    columns = [fill(t, copy) for fill, copy in zip(fills, copies)]
+    return Counter(zip(map(operator.itemgetter(1), walk), *columns))
+
+
+# ---------------------------------------------------------------------------
+# classification tables
 
 
 def freq_notation(p: Partition) -> str:
@@ -27,13 +202,12 @@ def table1_data(n: int = 9) -> dict:
     cells: dict[tuple[int, int], list[Partition]] = {
         (s, k): [] for s in (0, 2) for k in range(5)
     }
-    total = 0
-    for p in verify._weight_table(n).partitions():
-        total += 1
-        cells[(stats.srank(p) % 4, stats.st_crank(p) % 5)].append(p)
+    table = weight_table(n)
+    for p, srank, crank in zip(table.partitions(), *table.columns("srank", "st-crank")):
+        cells[(srank % 4, crank % 5)].append(p)
     for members in cells.values():
         members.sort()
-    return {"n": n, "total": total, "cells": cells}
+    return {"n": n, "total": table.total(), "cells": cells}
 
 
 def render_table1(n: int = 9) -> str:
@@ -80,9 +254,8 @@ def table2_data(n: int = 9) -> dict:
         raise ValueError(f"weight {n} is not 4 (mod 5)")
     seen: set[Partition] = set()
     orbits = []
-    total = 0
-    for p in verify._weight_table(n).partitions():
-        total += 1
+    table = weight_table(n)
+    for p in table.partitions():
         if p in seen:
             continue
         ob = orbit(p, shifted=True)
@@ -107,7 +280,7 @@ def table2_data(n: int = 9) -> dict:
             tuple(ob["members"][0]),
         )
     )
-    return {"n": n, "total": total, "orbits": orbits}
+    return {"n": n, "total": table.total(), "orbits": orbits}
 
 
 def _member_text(member: Partition, annotation: dict) -> str:

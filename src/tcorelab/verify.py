@@ -16,12 +16,10 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import islice, repeat, starmap, tee
 from math import isqrt
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, NoReturn
 
-from . import cores, stats, tables
+from . import cores, stats
 from .cores import (
     CoreQuotient,
     _partition_from_colors,
@@ -40,9 +38,6 @@ from .orbits import orbit_step, quadruple_shift_vector, theta_vector
 from .partitions import (
     Partition,
     add_cell,
-    check_enumeration_bound,
-    enumerate_partitions,
-    is_t_core,
     rim_hook_removals,
 )
 from .qseries import (
@@ -59,6 +54,7 @@ from .qseries import (
     triangular_theta,
 )
 from .rings import CYC5, INT, LaurentRing
+from .tables import class_counts, core_tally, table2_data, weight_table
 
 # ---------------------------------------------------------------------------
 # reports and registry plumbing
@@ -171,119 +167,15 @@ def run_all(**overrides) -> list[CheckReport]:
             for check_id in REGISTRY]
 
 
-def clear_memo() -> None:
-    """Empty both process-wide tables, so the next check recomputes from
-    scratch."""
-    _weight_table.cache_clear()
-    _core_tally.cache_clear()
-
-
 # ---------------------------------------------------------------------------
-# per-weight statistic tables and shared tallies
-
-# Columns beside stats.STATISTICS.  Every column function is looked up when a
-# column is filled, never bound at import, so wrappers installed around the
-# statistics see each call.
-COLUMNS: dict[str, Callable[[Partition], int]] = {
-    "odd-parts": lambda p: p.odd_part_count(),
-    "conjugate-odd-parts": lambda p: p.conjugate().odd_part_count(),
-    "is-5-core": lambda p: is_t_core(p, 5),
-    "has-repeated-even-part": lambda p: stats.has_repeated_even_part(p),
-}
-
-
-class WeightTable:
-    """The partitions of one weight, packed, and statistic columns over them.
-
-    The first read enumerates the weight once and keeps that enumeration as
-    one bytes object: the parts of each partition, one byte per part, with a
-    zero byte between partitions.  Every later read replays it, so a weight
-    is enumerated once however many columns and walks read it.  Entry k of
-    every column belongs to the k-th partition in enumeration order, so a
-    joint distribution is a Counter over zipped columns.  A column is filled
-    the first time a check reads it; every value is bounded by the weight in
-    absolute value, so 16-bit arrays hold them at any enumerable weight.
-    Every read checks the weight against the enumeration bound, so a table
-    filled under a higher bound answers as a cold one would.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.packed: bytes | None = None
-        self.filled: dict[str, array] = {}
-
-    def _fill(self, names: tuple[str, ...]) -> None:
-        check_enumeration_bound(self.n)
-        if self.n > 255:
-            raise ValueError(f"a weight table packs one part per byte, so it holds "
-                             f"weights up to 255, not {self.n}")
-        if self.packed is None:
-            self.packed = b"\0".join(map(bytes, enumerate_partitions(self.n)))
-        for name in names:
-            if name not in self.filled:
-                self.filled[name] = array("h", map(_column_function(name), self.partitions()))
-
-    def total(self) -> int:
-        """p(n), the number of partitions of the weight."""
-        self._fill(())
-        return self.packed.count(0) + 1
-
-    def partitions(self) -> Iterator[Partition]:
-        """The partitions of the weight in enumeration order, replayed."""
-        self._fill(())
-        return map(partial(tuple.__new__, Partition), self.packed.split(b"\0"))
-
-    def columns(self, *names: str) -> tuple[array, ...]:
-        """The named columns, any missing ones filled in one pass."""
-        self._fill(names)
-        return tuple(self.filled[name] for name in names)
-
-    def joint(self, *names: str) -> Counter:
-        """Counts of the value tuples that the named columns take together."""
-        return Counter(zip(*self.columns(*names)))
-
-
-def _column_function(name: str) -> Callable[[Partition], int]:
-    return stats.STATISTICS.get(name) or COLUMNS[name]
-
-
-@lru_cache(maxsize=None)
-def _weight_table(n: int) -> WeightTable:
-    return WeightTable(n)
-
-
-# filter name -> (column, test on its value)
-FILTERS: dict[str, tuple[str, Callable[[int], bool]]] = {
-    "srank-0-mod-4": ("srank", lambda s: s % 4 == 0),
-    "srank-2-mod-4": ("srank", lambda s: s % 4 == 2),
-    "is-5-core": ("is-5-core", bool),
-    "no-repeated-even-parts": ("has-repeated-even-part", operator.not_),
-}
-
-
-def class_counts(
-    n: int, statistic: str, modulus: int, filter_name: str | None = None
-) -> dict[int, int]:
-    """Exhaustive residue tally of a named statistic over the partitions of n."""
-    if statistic not in stats.STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    if filter_name is not None and filter_name not in FILTERS:
-        raise ValueError(f"unknown filter {filter_name!r}")
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    column, keep = FILTERS.get(filter_name, (statistic, None))
-    out = {r: 0 for r in range(modulus)}
-    for (value, tag), c in _weight_table(n).joint(statistic, column).items():
-        if keep is None or keep(tag):
-            out[value % modulus] += c
-    return out
+# tally helpers
 
 
 def _tally_series(ring, order: int, names: tuple[str, ...], term) -> Series:
     """The series whose q**n coefficient sums term(count, *values) over the
     joint tally of the named columns at weight n."""
     return Series(ring, order, [
-        sum((term(c, *values) for values, c in _weight_table(n).joint(*names).items()),
+        sum((term(c, *values) for values, c in weight_table(n).joint(*names).items()),
             ring.zero)
         for n in range(order)
     ])
@@ -302,58 +194,6 @@ def _equal_split(counts: dict[int, int], modulus: int, **where) -> None:
     for k in range(modulus):
         if residues[k] != share:
             fail({**where, "class": k, "count": residues[k], "expected": share})
-
-
-def _vectors(walk: Iterator) -> Iterator:
-    return map(operator.itemgetter(0), walk)
-
-
-def _five_core_crank_at(vec: tuple[int, ...], w: int) -> int | None:
-    # the crank is defined on the 5-cores of weight 4 (mod 5) only
-    return stats.five_core_crank_from_vector(vec) if w % 5 == 4 else None
-
-
-def _charge_residues(t: int, walk: Iterator) -> Iterator:
-    """(weight - (0,1,..,t-1).n) mod t along the walk, which the weight
-    formula makes 0."""
-    vecs, weights = tee(walk)
-    dots = map(sum, map(map, repeat(operator.mul), repeat(range(t)), _vectors(vecs)))
-    gaps = map(operator.sub, map(operator.itemgetter(1), weights), dots)
-    return map(operator.mod, gaps, repeat(t))
-
-
-# Columns of the t-core tallies.  Each entry maps t and a stream of
-# (n-vector, weight) pairs to the stream of its values, so a fill runs in
-# C-level iterators where it can.  Entries are looked up when a tally is
-# filled, and the statistics when an entry runs, like COLUMNS.
-CORE_COLUMNS: dict[str, Callable[[int, Iterator], Iterator]] = {
-    "srank-mod-4": lambda t, walk: map(partial(stats.core_srank_mod4, t), _vectors(walk)),
-    "five-core-crank": lambda t, walk: starmap(_five_core_crank_at, walk),
-    "bg-rank": lambda t, walk: map(stats.bg_rank, map(phi2_inv, _vectors(walk))),
-    "charge-residue": _charge_residues,
-}
-
-
-def core_tally(t: int, limit: int, *names: str) -> Counter:
-    """Counts of the (weight, *values) tuples that the named CORE_COLUMNS
-    take over the t-cores of weight <= limit.
-
-    One n-vector walk fills each tally, and the tally is kept for the life
-    of the process; do not mutate it.  The walk runs up to the next weight
-    t-1 (mod t), so bounds that differ by less than t share one tally: it
-    may hold weights past `limit`, and each reader stays within its own
-    bound.
-    """
-    return _core_tally(t, limit + (t - 1 - limit) % t, names)
-
-
-@lru_cache(maxsize=None)
-def _core_tally(t: int, top: int, names: tuple[str, ...]) -> Counter:
-    fills = [CORE_COLUMNS[name] for name in names]
-    # one streamed walk: the copies advance together, no vector is kept
-    walk, *copies = tee(iter_core_vectors(t, top), len(fills) + 1)
-    columns = [fill(t, copy) for fill, copy in zip(fills, copies)]
-    return Counter(zip(map(operator.itemgetter(1), walk), *columns))
 
 
 def _sum_down(tally: Counter, *positions: int) -> Counter:
@@ -406,7 +246,7 @@ def _progression_check(step: int, offset: int, max_n: int, modulus: int, order: 
         raise ValueError(f"max_n {max_n} reaches p({last}), past the series order {order}")
     series = partition_count_series(order)
     for n in range(offset, max_n + 1, step):
-        total = _weight_table(n).total()
+        total = weight_table(n).total()
         if total != series.coeff(n):
             fail({"n": n, "enumerated": total, "series": series.coeff(n)})
         if total % modulus:
@@ -513,7 +353,7 @@ def _chk_p02prod(params):
           max_n=49)
 def _chk_andrews(params):
     for n in range(4, params["max_n"] + 1, 5):
-        totals = Counter(s % 4 for s in _weight_table(n).columns("srank")[0])
+        totals = Counter(s % 4 for s in weight_table(n).columns("srank")[0])
         p0, p2 = totals[0], totals[2]
         if p0 % 5 or p2 % 5 or p2 % 10:
             fail({"n": n, "p0": p0, "p2": p2})
@@ -606,7 +446,7 @@ def _srank_class_split(max_n: int, name: str) -> None:
     partitions of 5n+4 <= max_n evenly."""
     for n in range(4, max_n + 1, 5):
         classes = {0: Counter(), 2: Counter()}  # srank is even
-        for (s, value), c in _weight_table(n).joint("srank", name).items():
+        for (s, value), c in weight_table(n).joint("srank", name).items():
             classes[s % 4][value] += c
         for i, counts in classes.items():
             _equal_split(counts, 5, n=n, srank_class=i)
@@ -645,7 +485,7 @@ def _chk_thm2(params):
     for n in range(params["joint_n"] + 1):
         stc: Counter = Counter()
         tqr: Counter = Counter()
-        joint = _weight_table(n).joint("srank", "st-crank", "two-quotient-rank")
+        joint = weight_table(n).joint("srank", "st-crank", "two-quotient-rank")
         for (s, a, b), c in joint.items():
             stc[(s % 4, a)] += c
             tqr[(s % 4, b)] += c
@@ -724,7 +564,7 @@ def _chk_g3(params):
     tally = Series(ring, tally_order)
     for n in range(tally_order):
         acc = ring.zero
-        for p in _weight_table(n).partitions():
+        for p in weight_table(n).partitions():
             charges, counts = cores.quotient_profile(p, 3)
             n1, n2 = charges[1], charges[2]
             shift = 3 * (counts[1] - counts[2])
@@ -814,38 +654,31 @@ def _chk_5core(params):
           max_n=49)
 def _chk_orbit(params):
     for n in range(4, params["max_n"] + 1, 5):
-        table = _weight_table(n)
+        table = weight_table(n)
         crank, srank = table.columns("five-core-crank", "srank")
+        partitions = list(table.partitions())
         # partition -> enumeration position, the row of its table entries
-        index = {p: k for k, p in enumerate(table.partitions())}
+        index = {p: k for k, p in enumerate(partitions)}
         # image positions under the unshifted and the shifted map, both from
-        # one bead reading per partition; a fault of the shifted map is
-        # raised only once the unshifted map has passed every test
+        # one bead reading per partition; -1 marks an image outside the index
         images = (array("i"), array("i"))
-        shifted_fault = None
-        for p, k in index.items():
-            keys = orbit_step(five_core_beads(p))
-            for shifted, key, positions in zip((False, True), keys, images):
-                q = _partition_from_colors(5, *key)
-                j = index.get(q, -1)
-                positions.append(j)
+        for p in partitions:
+            for key, positions in zip(orbit_step(five_core_beads(p)), images):
+                positions.append(index.get(_partition_from_colors(5, *key), -1))
+        # one pass of tests per map, the unshifted map first; an image is
+        # rebuilt only for a witness
+        for shifted, step in zip((False, True), images):
+            for k, j in enumerate(step):
                 if j < 0:
-                    fault = {"n": n, "shifted": shifted,
-                             "partition": list(p), "image": list(q)}
-                elif (crank[j] - crank[k]) % 5 != 1:
-                    fault = {"n": n, "shifted": shifted, "reason": "crank step",
-                             "partition": list(p)}
-                elif shifted and srank[j] % 4 != srank[k] % 4:
-                    fault = {"n": n, "reason": "srank not preserved", "partition": list(p)}
-                else:
-                    continue
-                if not shifted:
-                    fail(fault)
-                shifted_fault = shifted_fault or fault
-        for shifted, fault in ((False, None), (True, shifted_fault)):
-            if fault is not None:
-                fail(fault)
-            step = images[shifted]
+                    p = partitions[k]
+                    q = _partition_from_colors(5, *orbit_step(five_core_beads(p))[shifted])
+                    fail({"n": n, "shifted": shifted, "partition": list(p), "image": list(q)})
+                if (crank[j] - crank[k]) % 5 != 1:
+                    fail({"n": n, "shifted": shifted, "reason": "crank step",
+                          "partition": list(partitions[k])})
+                if shifted and srank[j] % 4 != srank[k] % 4:
+                    fail({"n": n, "reason": "srank not preserved",
+                          "partition": list(partitions[k])})
             if len(set(step)) != len(step):
                 fail({"n": n, "shifted": shifted, "reason": "not a bijection"})
             if len(step) % 5:
@@ -858,7 +691,7 @@ def _chk_orbit(params):
             for k, j in enumerate(power):
                 if j != k:
                     fail({"n": n, "shifted": shifted, "reason": "order",
-                          "partition": list(next(islice(index, k, None)))})
+                          "partition": list(partitions[k])})
 
 
 @register("CHK-THM3", "5-core crank mod 5 splits p0(5n+4) and p2(5n+4) evenly",
@@ -866,7 +699,7 @@ def _chk_orbit(params):
 def _chk_thm3(params):
     _srank_class_split(params["max_n"], "five-core-crank")
     # structural facts behind the weight-9 orbit table
-    data = tables.table2_data(9)
+    data = table2_data(9)
     if len(data["orbits"]) != 6:
         fail({"reason": "orbit count at 9", "found": len(data["orbits"])})
     first = data["orbits"][0]
@@ -885,7 +718,7 @@ def _chk_thm3(params):
           max_n=29)
 def _chk_elegant(params):
     for n in range(params["max_n"] + 1):
-        for p in _weight_table(n).partitions():
+        for p in weight_table(n).partitions():
             cq = phi1(p, 5)
             nvec = phi2(cq.core, 5)
             s_core = stats.srank(cq.core)
@@ -1015,7 +848,7 @@ def _chk_thm4(params):
           max_n=24, t_min=2, t_max=9)
 def _chk_srtq(params):
     for n in range(params["max_n"] + 1):
-        for p in _weight_table(n).partitions():
+        for p in weight_table(n).partitions():
             s = stats.srank(p) % 4
             for t in range(params["t_min"], params["t_max"] + 1):
                 if stats.decomposition_srank_mod4(phi1(p, t)) != s:
@@ -1027,7 +860,7 @@ def _chk_srtq(params):
 def _chk_strip(params):
     top = params["max_n"]
     for n in range(top + 1):
-        for p in _weight_table(n).partitions():
+        for p in weight_table(n).partitions():
             s = stats.srank(p)
             # single cells at every addable corner
             for row in range(1, len(p) + 2):
@@ -1062,7 +895,7 @@ def _chk_strip(params):
     # head parity when a strip grows one quotient component
     for t in (3, 5):
         for n in range(top + 1):
-            for base in _weight_table(n).partitions():
+            for base in weight_table(n).partitions():
                 cq = phi1(base, t)
                 nvec = phi2(cq.core, t)
                 for i in range(t):
@@ -1092,7 +925,7 @@ def _chk_bgralt(params):
     from .partitions import residue_counts
 
     for n in range(params["max_n"] + 1):
-        for p in _weight_table(n).partitions():
+        for p in weight_table(n).partitions():
             j = stats.bg_rank(p)
             r = residue_counts(p, 2)
             core2 = cores.phi1(p, 2).core
@@ -1113,7 +946,7 @@ def _chk_fj(params):
     order = params["order"]
     ring = LaurentRing(("x",))
     names = ("bg-rank", "two-quotient-rank")
-    attained = sorted({j for n in range(order) for (j, _) in _weight_table(n).joint(*names)})
+    attained = sorted({j for n in range(order) for (j, _) in weight_table(n).joint(*names)})
     for j in attained:
         shift = (2 * j - 1) * j
         if shift >= order:
@@ -1149,7 +982,7 @@ def _chk_thm5(params):
     for n in range(params["max_n"] + 1):
         case = _THM5_CASES[n % 5]
         by_bg: dict[int, Counter] = {}
-        for (j, m), c in _weight_table(n).joint("bg-rank", "two-quotient-rank").items():
+        for (j, m), c in weight_table(n).joint("bg-rank", "two-quotient-rank").items():
             by_bg.setdefault(j, Counter())[m] += c
         for j, counts in by_bg.items():
             if case(j):
@@ -1160,7 +993,7 @@ def _chk_thm5(params):
 def _chk_cor5(params):
     for n in range(params["max_n"] + 1):
         case = _THM5_CASES[n % 5]
-        totals = Counter(_weight_table(n).columns("bg-rank")[0])
+        totals = Counter(weight_table(n).columns("bg-rank")[0])
         for j, total in totals.items():
             if case(j) and total % 5:
                 fail({"n": n, "j": j, "count": total})

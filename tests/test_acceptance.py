@@ -76,10 +76,10 @@ def test_criterion_2_three_statistics():
     run_ok("CHK-THM3", max_n=49)
     elapsed = time.perf_counter() - start
     for stat_name in ("st-crank", "two-quotient-rank", "five-core-crank"):
-        assert verify.class_counts(9, stat_name, 5, "srank-0-mod-4") == {
+        assert tables.class_counts(9, stat_name, 5, "srank-0-mod-4") == {
             k: 4 for k in range(5)
         }
-        assert verify.class_counts(9, stat_name, 5, "srank-2-mod-4") == {
+        assert tables.class_counts(9, stat_name, 5, "srank-2-mod-4") == {
             k: 2 for k in range(5)
         }
     assert elapsed < 120.0
@@ -157,7 +157,7 @@ def test_criterion_8_five_core_counting():
     run_ok("CHK-5CORE", rel_n=104)
     run_ok("CHK-REFINE", refine_n=100, theta_n=104)
     run_ok("CHK-A50", form4_n=100)
-    tally = verify.core_tally(5, 524, "srank-mod-4", "five-core-crank")
+    tally = tables.core_tally(5, 524, "srank-mod-4", "five-core-crank")
     count, by_srank = verify._sum_down(tally, 0), verify._sum_down(tally, 0, 1)
     for n in range(105):
         assert count[5 * n + 4] == 5 * count[n]
@@ -193,7 +193,7 @@ def test_criterion_11_run_all():
     for check_id in ("CHK-RAMBEST", "CHK-FJ", "CHK-BGRALT"):
         definition = verify.REGISTRY[check_id]
         first = definition.func(dict(definition.defaults))
-        verify.clear_memo()
+        tables.clear_memo()
         second = definition.func(dict(definition.defaults))
         assert first == second
         again = verify.run_check(check_id)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from tcorelab import verify
+from tcorelab import tables
 from tcorelab.cores import (
     CoreQuotient,
     _charges_and_bead_parts,
@@ -309,13 +309,13 @@ class TestCounting:
 
     def test_two_cores_are_staircases(self):
         triangulars = {k * (k + 1) // 2 for k in range(12)}
-        tally = verify.core_tally(2, 40, "charge-residue")
+        tally = tables.core_tally(2, 40, "charge-residue")
         for n in range(41):
             assert tally[(n, 0)] == (1 if n in triangulars else 0)
             assert count_t_cores_by_filter(n, 2) == (1 if n in triangulars else 0)
 
     def test_five_core_counts(self):
-        tally = verify.core_tally(5, 9, "charge-residue")
+        tally = tables.core_tally(5, 9, "charge-residue")
         assert (tally[(4, 0)], tally[(9, 0)], tally[(5, 0)]) == (5, 5, 2)
         assert [count_t_cores_by_filter(n, 5) for n in (4, 9, 5)] == [5, 5, 2]
 
@@ -324,7 +324,7 @@ class TestCounting:
             by_vector = [0] * 21
             for _, w in iter_core_vectors(t, 20):
                 by_vector[w] += 1
-            tally = verify.core_tally(t, 20, "charge-residue")
+            tally = tables.core_tally(t, 20, "charge-residue")
             for n in range(21):
                 assert by_vector[n] == tally[(n, 0)]
                 assert by_vector[n] == count_t_cores_by_filter(n, t)

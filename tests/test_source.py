@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -134,24 +135,52 @@ def test_poch_product_builds_every_product():
 
 
 def _owners(path, match):
-    """module.function of each node of the file that match accepts."""
+    """module.Class.function, the innermost definition around each node of
+    the file that match accepts (module for a node outside any)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     owner = {}
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            # an inner function walks later and claims its own nodes
-            owner.update((id(node), func.name) for node in ast.walk(func))
-    return [f"{path.stem}.{owner.get(id(node), '<module>')}"
-            for node in ast.walk(tree) if match(node)]
+
+    def claim(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{name}.{child.name}"
+                     if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else name)
+            owner[id(child)] = inner
+            claim(child, inner)
+
+    claim(tree, path.stem)
+    return [owner[id(node)] for node in ast.walk(tree) if match(node)]
 
 
-def test_trusted_partitions_come_from_two_producers():
-    # Partition._trusted skips validation, so it stays with the two
-    # producers that are canonical by construction
+def test_trusted_partitions_come_from_three_producers():
+    # Partition._trusted skips validation, so it stays with the three
+    # producers that are canonical by construction, and no other code
+    # builds a Partition by tuple.__new__ around it
     callers = [where for path in SOURCES for where in _owners(
         path, lambda node: isinstance(node, ast.Attribute) and node.attr == "_trusted")]
     assert sorted(callers) == ["cores._partition_from_colors",
-                               "partitions.enumerate_partitions"]
+                               "partitions.enumerate_partitions",
+                               "tables.WeightTable.partitions"]
+    makers = [where for path in SOURCES for where in _owners(
+        path, lambda node: isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and getattr(node.value, "id", None) == "tuple")]
+    assert makers and all(where.startswith("partitions.Partition.") for where in makers), makers
+
+
+def test_no_import_cycles():
+    # module-level imports between the package's modules form no cycle, so
+    # every module can be imported on its own without reading a half-made one
+    modules = {path.stem: path for path in SOURCES if path.stem != "__init__"}
+    edges = {}
+    for name, path in modules.items():
+        edges[name] = set()
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                edges[name].update(t for t in targets if t in modules)
+    try:
+        TopologicalSorter(edges).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 def test_one_orbit_step():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tcorelab import cores, stats, verify
+from tcorelab import cores, stats, tables, verify
 from tcorelab.cli import main
 from tcorelab.cores import core_weight_from_vector, count_t_cores_by_filter, iter_core_vectors
 from tcorelab.orbits import orbit_map, orbit_map_s
@@ -110,31 +110,31 @@ def _key_level(images):
 
 class TestClassCounts:
     def test_table1_counts(self):
-        counts = verify.class_counts(9, "st-crank", 5, "srank-0-mod-4")
+        counts = tables.class_counts(9, "st-crank", 5, "srank-0-mod-4")
         assert counts == {k: 4 for k in range(5)}
-        counts = verify.class_counts(9, "st-crank", 5, "srank-2-mod-4")
+        counts = tables.class_counts(9, "st-crank", 5, "srank-2-mod-4")
         assert counts == {k: 2 for k in range(5)}
 
     def test_weight_zero(self):
         for statistic in ("srank", "dyson-rank", "ag-crank", "st-crank",
                           "two-quotient-rank", "bg-rank"):
-            counts = verify.class_counts(0, statistic, 5)
+            counts = tables.class_counts(0, statistic, 5)
             assert counts[0] == 1
             assert sum(counts.values()) == 1
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):
-            verify.class_counts(5, "no-such-stat", 5)
+            tables.class_counts(5, "no-such-stat", 5)
         with pytest.raises(ValueError):
-            verify.class_counts(5, "srank", 5, "no-such-filter")
+            tables.class_counts(5, "srank", 5, "no-such-filter")
 
     @pytest.mark.parametrize("modulus", [0, -3])
     def test_modulus_below_one(self, modulus):
         with pytest.raises(ValueError, match="modulus must be positive"):
-            verify.class_counts(5, "srank", modulus)
+            tables.class_counts(5, "srank", modulus)
 
     def test_five_core_filter(self):
-        counts = verify.class_counts(9, "five-core-crank", 5, "is-5-core")
+        counts = tables.class_counts(9, "five-core-crank", 5, "is-5-core")
         assert counts == {k: 1 for k in range(5)}
 
     def test_equal_split_witnesses(self):
@@ -152,18 +152,18 @@ class TestClassCounts:
         n=st.integers(0, 16),
         names=st.tuples(st.sampled_from(sorted(stats.STATISTICS)),
                         st.sampled_from(sorted(stats.STATISTICS))),
-        filter_name=st.sampled_from([None, *verify.FILTERS]),
+        filter_name=st.sampled_from([None, *tables.FILTERS]),
         fresh=st.booleans(),
     )
     def test_table_matches_direct_loop(self, n, names, filter_name, fresh):
         assume(n % 5 == 4 or "five-core-crank" not in names)
         if fresh:
-            verify.clear_memo()
-        table = verify._weight_table(n)
+            tables.clear_memo()
+        table = tables.weight_table(n)
         if filter_name is None:
             joint = table.joint(*names)
         else:
-            column, keep = verify.FILTERS[filter_name]
+            column, keep = tables.FILTERS[filter_name]
             joint = Counter()
             for (*values, tag), c in table.joint(*names, column).items():
                 if keep(tag):
@@ -173,12 +173,12 @@ class TestClassCounts:
         residues = {r: 0 for r in range(5)}
         for (value, _), c in expected.items():
             residues[value % 5] += c
-        assert verify.class_counts(n, names[0], 5, filter_name) == residues
+        assert tables.class_counts(n, names[0], 5, filter_name) == residues
         assert table.total() == sum(1 for _ in enumerate_partitions(n))
 
 
 # Every column a weight table can hold.
-TABLE_COLUMNS = sorted({*stats.STATISTICS, *verify.COLUMNS})
+TABLE_COLUMNS = sorted({*stats.STATISTICS, *tables.COLUMNS})
 
 
 class TestWeightTable:
@@ -187,7 +187,7 @@ class TestWeightTable:
             expected = list(enumerate_partitions(n))
             # first touched without columns, or by a column fill
             for first in ((), ("srank", "odd-parts")):
-                table = verify.WeightTable(n)
+                table = tables.WeightTable(n)
                 table.columns(*first)
                 for _ in range(2):
                     replayed = list(table.partitions())
@@ -198,7 +198,7 @@ class TestWeightTable:
                 assert table.total() == len(expected)
 
     def test_weight_zero_packs_to_nothing(self):
-        table = verify.WeightTable(0)
+        table = tables.WeightTable(0)
         assert list(table.partitions()) == [Partition()]
         assert table.packed == b""
         assert table.total() == 1
@@ -211,8 +211,8 @@ class TestWeightTable:
         order = data.draw(st.permutations(names))
         first = data.draw(st.integers(0, len(order)))
         chosen = order[:data.draw(st.integers(first, len(order)))]
-        at_first_touch = verify.WeightTable(n).columns(*chosen)
-        table = verify.WeightTable(n)
+        at_first_touch = tables.WeightTable(n).columns(*chosen)
+        table = tables.WeightTable(n)
         table.columns(*chosen[:first])
         for name in chosen[first:]:
             table.columns(name)
@@ -222,10 +222,10 @@ class TestWeightTable:
     def test_parts_must_fit_a_byte(self, monkeypatch):
         monkeypatch.setenv("TCORELAB_MAX_N", "300")
         with pytest.raises(ValueError, match="up to 255, not 256"):
-            verify.WeightTable(256).total()
+            tables.WeightTable(256).total()
 
     def test_every_read_checks_the_bound(self, monkeypatch):
-        table = verify.WeightTable(24)
+        table = tables.WeightTable(24)
         table.columns("srank")
         monkeypatch.setenv("TCORELAB_MAX_N", "20")
         message = "enumeration of partitions of 24 exceeds the bound 20"
@@ -281,8 +281,8 @@ class TestCoreTally:
     @given(t=st.integers(2, 7), limit=st.integers(-1, 24), fresh=st.booleans())
     def test_weight_counts_match_the_partition_filter(self, t, limit, fresh):
         if fresh:
-            verify.clear_memo()
-        tally = verify.core_tally(t, limit, "charge-residue")
+            tables.clear_memo()
+        tally = tables.core_tally(t, limit, "charge-residue")
         assert all(residue == 0 for _, residue in tally)
         counts = verify._sum_down(tally, 0)
         # the walk may run past the limit, never by t or more
@@ -299,8 +299,8 @@ class TestCoreTally:
     )
     def test_five_core_columns_match_the_partition_route(self, limit, names, fresh):
         if fresh:
-            verify.clear_memo()
-        tally = verify.core_tally(5, limit, *names)
+            tables.clear_memo()
+        tally = tables.core_tally(5, limit, *names)
         within = Counter({key: c for key, c in tally.items() if key[0] <= limit})
         expected = Counter(
             (p.weight, *(PARTITION_CORE_COLUMNS[name](p) for name in names))
@@ -314,14 +314,14 @@ class TestCoreTally:
             walks.append((t, max_weight))
             return iter_core_vectors(t, max_weight)
 
-        verify.clear_memo()
-        monkeypatch.setattr(verify, "iter_core_vectors", counting)
+        tables.clear_memo()
+        monkeypatch.setattr(tables, "iter_core_vectors", counting)
         try:
-            first = verify.core_tally(5, 520, "srank-mod-4", "five-core-crank")
-            assert verify.core_tally(5, 524, "srank-mod-4", "five-core-crank") is first
-            verify.core_tally(3, 10, "bg-rank")
+            first = tables.core_tally(5, 520, "srank-mod-4", "five-core-crank")
+            assert tables.core_tally(5, 524, "srank-mod-4", "five-core-crank") is first
+            tables.core_tally(3, 10, "bg-rank")
         finally:
-            verify.clear_memo()
+            tables.clear_memo()
         assert walks == [(5, 524), (3, 11)]
 
 
@@ -336,7 +336,7 @@ class TestRegistry:
 
     def test_reports_are_stable(self):
         a = verify.run_check("CHK-RAMBEST", order=12)
-        verify.clear_memo()
+        tables.clear_memo()
         b = verify.run_check("CHK-RAMBEST", order=12)
         assert a.to_json() == b.to_json()
 
@@ -380,7 +380,7 @@ class TestRegistry:
         }
         runs = []
         for order in (list(bounds), list(reversed(bounds))):
-            verify.clear_memo()
+            tables.clear_memo()
             runs.append({cid: verify.run_check(cid, **bounds[cid]).to_json()
                          for cid in order})
         assert runs[0] == runs[1]
@@ -391,8 +391,8 @@ class TestRegistry:
     def test_clear_memo_empties_every_cache(self):
         verify.run_check("CHK-THM5", max_n=12)
         verify.run_check("CHK-AB5JR", max_weight=20)
-        tally = verify.core_tally(5, 30, "srank-mod-4")
-        verify.clear_memo()
+        tally = tables.core_tally(5, 30, "srank-mod-4")
+        tables.clear_memo()
         caches = [
             (name, attr) for name, module in sys.modules.items()
             if name == "tcorelab" or name.startswith("tcorelab.")
@@ -402,7 +402,7 @@ class TestRegistry:
         assert caches
         for name, attr in caches:
             assert getattr(sys.modules[name], attr).cache_info().currsize == 0, (name, attr)
-        assert verify.core_tally(5, 30, "srank-mod-4") is not tally
+        assert tables.core_tally(5, 30, "srank-mod-4") is not tally
 
     def test_five_core_checks_size_their_table(self):
         # both bounds read 5-core weights past 524, the default table size
@@ -410,7 +410,7 @@ class TestRegistry:
         assert verify.run_check("CHK-A50", form4_n=131).status == "pass"
 
     def test_value_error_in_a_check_is_an_error_report(self, monkeypatch):
-        verify.clear_memo()
+        tables.clear_memo()
         monkeypatch.setenv("TCORELAB_MAX_N", "20")
         report = verify.run_check("CHK-RAM5", max_n=30)
         assert report.to_json() == {
@@ -420,7 +420,7 @@ class TestRegistry:
         # the outcome depends on the bound, not only on the parameters
         monkeypatch.delenv("TCORELAB_MAX_N")
         assert verify.run_check("CHK-RAM5", max_n=30).status == "pass"
-        verify.clear_memo()
+        tables.clear_memo()
 
     def test_each_weight_is_enumerated_once(self, monkeypatch):
         # the 23 enumeration checks at weights <= 14, in two orders: the
@@ -446,22 +446,22 @@ class TestRegistry:
             calls[n] += 1
             return enumerate_partitions(n, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "enumerate_partitions", counting)
+        monkeypatch.setattr(tables, "enumerate_partitions", counting)
         for order in (list(bounds), list(reversed(bounds))):
-            verify.clear_memo()
+            tables.clear_memo()
             calls.clear()
             try:
                 statuses = {cid: verify.run_check(cid, **bounds[cid]).status
                             for cid in order}
             finally:
-                verify.clear_memo()
+                tables.clear_memo()
             assert statuses == dict.fromkeys(order, "pass")
             assert calls == Counter(range(15))
 
     def test_a_warm_table_keeps_the_bound(self, monkeypatch):
         # a check reads the same error whether the tables are cold or were
         # filled under a higher bound, by the same parameters or larger ones
-        verify.clear_memo()
+        tables.clear_memo()
         monkeypatch.setenv("TCORELAB_MAX_N", "20")
         witness = {"error": "enumeration of partitions of 24 exceeds the bound 20"}
         warm = []
@@ -473,7 +473,7 @@ class TestRegistry:
                 monkeypatch.setenv("TCORELAB_MAX_N", "20")
                 warm += [verify.run_check(cid, max_n=29) for cid in ("CHK-ANDREWS", "CHK-RAM5")]
         finally:
-            verify.clear_memo()
+            tables.clear_memo()
         for report in (cold, *warm):
             assert (report.status, report.witness) == ("error", witness), report.check_id
 
@@ -486,23 +486,23 @@ class TestRegistry:
             calls[t] += 1
             return reading(p, t)
 
-        verify.clear_memo()
+        tables.clear_memo()
         monkeypatch.setattr(cores, "_charges_and_bead_parts", counting)
         try:
             assert verify.run_check("CHK-ORBIT", max_n=34).status == "pass"
         finally:
-            verify.clear_memo()
+            tables.clear_memo()
         assert calls == {5: 19110}
 
     @pytest.mark.parametrize("fault", ORBIT_FAULTS)
     def test_orbit_fault_witnesses(self, fault, monkeypatch):
         images, witness = ORBIT_FAULTS[fault]
-        verify.clear_memo()
+        tables.clear_memo()
         monkeypatch.setattr(verify, "orbit_step", _key_level(images))
         try:
             report = verify.run_check("CHK-ORBIT", max_n=14)
         finally:
-            verify.clear_memo()
+            tables.clear_memo()
         assert (report.status, report.witness) == ("fail", witness)
 
     @pytest.mark.parametrize("statistic", ["st-crank", "srank", "ag-crank", "two-quotient-rank"])
@@ -510,13 +510,13 @@ class TestRegistry:
         # reports with one statistic replaced by a constant, recorded before
         # the checks raised their witnesses instead of returning them
         expected = json.loads((GOLDEN / "fault_witnesses.json").read_text())[statistic]
-        verify.clear_memo()
+        tables.clear_memo()
         monkeypatch.setitem(stats.STATISTICS, statistic, lambda p: 2)
         try:
             reports = {cid: verify.run_check(cid, **report["params"]).to_json()
                        for cid, report in expected.items()}
         finally:
-            verify.clear_memo()
+            tables.clear_memo()
         assert reports == expected
 
     @pytest.mark.parametrize("check_id, name, bounds, route", [
@@ -537,12 +537,12 @@ class TestRegistry:
             (lambda vec: vec, {"route": f"{route}-weight", "n": 0, "vector": [0, 0, 0, 0, 0]}),
             (collapsed, {"route": f"{route}-injective", "n": 2}),
         ):
-            verify.clear_memo()
+            tables.clear_memo()
             monkeypatch.setattr(verify, name, fake)
             try:
                 report = verify.run_check(check_id, **bounds)
             finally:
-                verify.clear_memo()
+                tables.clear_memo()
             assert (report.status, report.witness) == ("fail", witness)
         monkeypatch.setattr(verify, name, step)
         assert verify.run_check(check_id, **bounds).status == "pass"
@@ -621,14 +621,14 @@ class TestCli:
         assert main(["verify", "--check", "CHK-NOPE"]) == 2
 
     def test_verify_reports_an_error_and_goes_on(self, capsys, monkeypatch):
-        verify.clear_memo()
+        tables.clear_memo()
         monkeypatch.setenv("TCORELAB_MAX_N", "20")
         argv = ["verify", "--check", "CHK-RAMBEST", "--check", "CHK-RAM5",
                 "--check", "CHK-JTP", "--max-n", "30"]
         try:
             assert main(argv) == 2
         finally:
-            verify.clear_memo()
+            tables.clear_memo()
         captured = capsys.readouterr()
         reports = [json.loads(line) for line in captured.out.splitlines()]
         assert [(r["id"], r["status"]) for r in reports] == [
