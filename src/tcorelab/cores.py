@@ -224,7 +224,8 @@ def phi1(p: Partition, t: int) -> CoreQuotient:
         raise ValueError("t must be at least 2")
     charges, bead_parts = _charges_and_bead_parts(p, t)
     core = _partition_from_colors(t, charges, ())
-    quotient = tuple(Partition(bp).conjugate() for bp in bead_parts)
+    # the split's readings are positive and nonincreasing
+    quotient = tuple(Partition._trusted(bp).conjugate() for bp in bead_parts)
     return CoreQuotient(t, core, quotient)
 
 

@@ -68,7 +68,8 @@ class Partition(tuple):
         """Wrap parts already known to be positive and nonincreasing.
 
         Skips validation; only for producers that are canonical by
-        construction (enumeration and bead reassembly).
+        construction (enumeration, conjugation, the bead split's readings
+        and bead reassembly).
         """
         return tuple.__new__(cls, parts)
 
@@ -156,7 +157,8 @@ class Partition(tuple):
             if end and self[end - 1] == part:
                 # the rows above the run are those with a larger part
                 end = bisect_left(self, -part, 0, end, key=neg)
-        return Partition(cols)
+        # column lengths are positive and nonincreasing by construction
+        return Partition._trusted(cols)
 
     def odd_part_count(self) -> int:
         return sum(1 for part in self if part % 2)

@@ -8,11 +8,54 @@ largest part, 0).
 
 from __future__ import annotations
 
-from typing import Sequence
+from bisect import bisect_left, bisect_right
+from operator import neg
+from typing import Iterator, Sequence
 
 from . import cores
 from .cores import CoreQuotient
 from .partitions import Partition
+
+
+# A stretch of this many parts that starts and ends with the same part lies
+# inside one run of equal parts, which the kernels below add up in closed
+# form.  A partition of fewer parts is read one part at a time.
+RUN = 64
+
+
+def _stretches(p: Partition) -> Iterator[tuple[int, int, int]]:
+    """Cut p, top down, into spans (start, stop, a) of p[start:stop].
+
+    p is read in stretches of RUN parts.  A stretch whose first and last
+    parts are equal lies inside one run: the run's end is bracketed by
+    galloping on from the stretch with steps 1, 2, 4, ... and then bisected
+    inside the last step, so a run of RUN + k parts takes about 2 log2(k)
+    probes.  The run is one span with a > 0, every part of it equal to a,
+    ending where the run ends.  The other stretches between two such runs
+    make one span with a == 0, which the caller reads one part at a time.
+    A partition of n has at most sqrt(2n) runs, so one made of long runs
+    costs a few steps per run.
+    """
+    n = len(p)
+    start = mixed = 0  # p[mixed:start] is read part by part
+    while start + RUN <= n:
+        a = p[start]
+        stop = start + RUN
+        if p[stop - 1] != a:
+            start = stop
+            continue
+        step = 1
+        while stop + step <= n and p[stop + step - 1] == a:
+            stop += step
+            step += step
+        # the run ends in stop..stop + step - 1
+        stop = bisect_right(p, -a, stop, min(stop + step - 1, n), key=neg)
+        if mixed < start:
+            yield mixed, start, 0
+        yield start, stop, a
+        start = mixed = stop
+    if mixed < n:
+        yield mixed, n, 0
 
 
 def srank(p: Partition) -> int:
@@ -22,7 +65,21 @@ def srank(p: Partition) -> int:
     for an odd row i, so the conjugate's odd-part count is the alternating
     sum lambda_1 - lambda_2 + lambda_3 - ... and needs no conjugate.
     """
-    return sum(part & 1 for part in p) - sum(p[0::2]) + sum(p[1::2])
+    if len(p) < RUN:
+        return sum(part & 1 for part in p) - sum(p[0::2]) + sum(p[1::2])
+    odd = alt = 0
+    for start, stop, a in _stretches(p):
+        if a:
+            odd += (stop - start) * (a & 1)
+            # a run of odd length adds its part with the sign of its first row
+            if (stop - start) & 1:
+                alt += -a if start & 1 else a
+        else:
+            s = p[start:stop]
+            odd += sum(part & 1 for part in s)
+            d = sum(s[0::2]) - sum(s[1::2])
+            alt += -d if start & 1 else d
+    return odd - alt
 
 
 def dyson_rank(p: Partition) -> int:
@@ -30,16 +87,17 @@ def dyson_rank(p: Partition) -> int:
     return p.largest - p.num_parts
 
 
-def ag_crank(p: Partition) -> int:
-    """Andrews-Garvan crank.
+def ag_crank(p: Sequence[int]) -> int:
+    """Andrews-Garvan crank of p, or of any nonincreasing sequence of parts.
 
     Largest part when there are no ones; otherwise the number of parts larger
-    than the number of ones, minus the number of ones.
+    than the number of ones, minus the number of ones.  Both counts are
+    bisections, as the parts are nonincreasing.
     """
-    ones = p.count(1)
-    if ones == 0:
-        return p.largest
-    return sum(1 for part in p if part > ones) - ones
+    if not p or p[-1] != 1:
+        return p[0] if p else 0
+    ones = len(p) - bisect_left(p, -1, key=neg)
+    return bisect_left(p, -ones, key=neg) - ones
 
 
 def has_repeated_even_part(p: Partition) -> bool:
@@ -162,27 +220,51 @@ def st_crank(p: Partition) -> int:
     the odd-part count and the alternating sum that make up the srank.  With
     a repeated even part p is not of type B; without one the extraction is
     empty (crank 0) and the type-B conditions of :func:`is_type_b` reduce to
-    a gap test on the two largest parts and at least two ones.
+    a gap test on the two largest parts and at least two ones.  A run of
+    equal parts (see :func:`_stretches`) adds its pairs, odd parts and
+    alternating sum in closed form.
     """
     halves = []  # the extraction's parts, nonincreasing
     odd = alt = pending = 0
-    sign = -1
-    for part in p:
-        alt += sign * part
-        sign = -sign
-        if part & 1:
-            odd += 1
-        elif part == pending:
-            halves.append(part >> 1)
-            pending = 0
-        else:
-            pending = part
+    if len(p) < RUN:
+        sign = -1
+        for part in p:
+            alt += sign * part
+            sign = -sign
+            if part & 1:
+                odd += 1
+            elif part == pending:
+                halves.append(part >> 1)
+                pending = 0
+            else:
+                pending = part
+    else:
+        for start, stop, a in _stretches(p):
+            if a:
+                count = stop - start
+                if count & 1:
+                    alt += a if start & 1 else -a
+                if a & 1:
+                    odd += count
+                else:
+                    # an unpaired a just above the run pairs with its first
+                    # part; no part below the run pairs with one in it
+                    halves += [a >> 1] * ((count + (pending == a)) >> 1)
+                continue
+            sign = 1 if start & 1 else -1
+            for part in p[start:stop]:
+                alt += sign * part
+                sign = -sign
+                if part & 1:
+                    odd += 1
+                elif part == pending:
+                    halves.append(part >> 1)
+                    pending = 0
+                else:
+                    pending = part
     half_srank = (odd + alt) // 2
     if halves:
-        ones = halves.count(1)
-        if not ones:
-            return halves[0] + half_srank
-        return sum(1 for k in halves if k > ones) - ones + half_srank
+        return ag_crank(halves) + half_srank
     # two ones below a largest part at least 2 above the next (weight 4 then
     # cannot occur), or the exception (3, 1)
     if len(p) > 2 and p[-2] == 1:
@@ -201,17 +283,38 @@ def two_quotient_rank(p: Partition) -> int:
     reading (see :func:`cores.quotient_profile`), which the colour's first
     displaced bead and its bead count give: with beads b_x = lambda_x - x and
     charge c_i = floor((-nu-1-i)/2) + 1 + #{x : b_x = i (mod 2)}, it is
-    max(0, floor(b/2) + 1 - c_i) for the first bead b of parity i.
+    max(0, floor(b/2) + 1 - c_i) for the first bead b of parity i.  A run of
+    equal parts has consecutive beads, so its counts and first beads are
+    read off its top bead.
     """
     counts = [0, 0]
     first = [0, 0]
-    for x, part in enumerate(p, start=1):
-        b = part - x
-        i = b & 1
-        if not counts[i]:
-            first[i] = b >> 1
-        counts[i] += 1
-    top = -len(p) - 1
+    n = len(p)
+    if n < RUN:
+        for x, part in enumerate(p, start=1):
+            b = part - x
+            i = b & 1
+            if not counts[i]:
+                first[i] = b >> 1
+            counts[i] += 1
+    else:
+        for start, stop, a in _stretches(p):
+            if a:
+                # beads b, b - 1, ..., one more of b's parity when odd in number
+                b = a - start - 1
+                for i, bead, count in ((b & 1, b, (stop - start + 1) >> 1),
+                                       (~b & 1, b - 1, (stop - start) >> 1)):
+                    if not counts[i]:
+                        first[i] = bead >> 1
+                    counts[i] += count
+                continue
+            for x, part in enumerate(p[start:stop], start=start + 1):
+                b = part - x
+                i = b & 1
+                if not counts[i]:
+                    first[i] = b >> 1
+                counts[i] += 1
+    top = -n - 1
     nu0 = first[0] - top // 2 - counts[0] if counts[0] else 0
     nu1 = first[1] - (top - 1) // 2 - counts[1] if counts[1] else 0
     return max(nu0, 0) - max(nu1, 0)
@@ -224,16 +327,38 @@ def five_core_crank(p: Partition) -> int:
     floor((-nu-1-i)/5) + 1 + #{x : lambda_x - x = i (mod 5)}.  They are the
     5-core's n-vector, and the alpha coordinates of :func:`cores.alpha_from_n`
     (with its integer s) give sum(i * alpha_i) = 6c_0 + 6c_1 + 5c_2 + 3c_3
-    - 5s, so the crank is 1 + c_0 + c_1 + 3c_3 mod 5.
+    - 5s, so the crank is 1 + c_0 + c_1 + 3c_3 mod 5.  A run of equal parts
+    has consecutive beads, whose residues and weight are read off its top
+    bead and length.
     """
-    if p.weight % 5 != 4:
-        raise ValueError(f"weight {p.weight} is not 4 (mod 5)")
     counts = [0] * 5
-    x = 0
-    for part in p:
-        x += 1
-        counts[(part - x) % 5] += 1
-    top = -x - 1
+    n = len(p)
+    if n < RUN:
+        weight = p.weight
+        x = 0
+        for part in p:
+            x += 1
+            counts[(part - x) % 5] += 1
+    else:
+        weight = 0
+        for start, stop, a in _stretches(p):
+            if a:
+                weight += a * (stop - start)
+                # beads b, b - 1, ...: every residue full, then the top few
+                b = a - start - 1
+                full, extra = divmod(stop - start, 5)
+                for k in range(5):
+                    counts[(b - k) % 5] += full + (k < extra)
+                continue
+            s = p[start:stop]
+            weight += sum(s)
+            x = start
+            for part in s:
+                x += 1
+                counts[(part - x) % 5] += 1
+    if weight % 5 != 4:
+        raise ValueError(f"weight {weight} is not 4 (mod 5)")
+    top = -n - 1
     c0, c1, _, c3, _ = [(top - i) // 5 + 1 + counts[i] for i in range(5)]
     return (1 + c0 + c1 + 3 * c3) % 5
 
@@ -248,13 +373,25 @@ def bg_rank(p: Partition) -> int:
     """Alternating sum of part parities (the BG-rank).
 
     Equals r_0 - r_1 of the 2-residue diagram, and the first coordinate of
-    the 2-core's n-vector.
+    the 2-core's n-vector.  A run of equal parts adds its first row's sign
+    when both its part and its length are odd, and 0 otherwise.
     """
     total = 0
-    sign = 1
-    for part in p:
-        total += sign * (part % 2)
-        sign = -sign
+    if len(p) < RUN:
+        sign = 1
+        for part in p:
+            total += sign * (part % 2)
+            sign = -sign
+        return total
+    for start, stop, a in _stretches(p):
+        if a:
+            if a & (stop - start) & 1:
+                total += -1 if start & 1 else 1
+            continue
+        sign = -1 if start & 1 else 1
+        for part in p[start:stop]:
+            total += sign * (part % 2)
+            sign = -sign
     return total
 
 

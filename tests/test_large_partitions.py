@@ -10,13 +10,21 @@ independent routes: the cell-set transpose for the conjugate, the per-bead
 loops that the kernels replaced (copied below as the reference route), and
 the capital_phi route for the orbit step.  Every partition of n <= 20 is
 also checked against the per-bead loops at each t = 2..9.
+
+The statistics read a partition of RUN or more parts in stretches of RUN
+parts and add up each run that fills a stretch in closed form.  Each
+kernel is held to its definition route on the same long partitions and on
+hand-built shapes around the stretch length.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcorelab import stats
+from tcorelab.cli import main
 from tcorelab.cores import (
     _charges_and_bead_parts,
     _partition_from_colors,
@@ -25,12 +33,19 @@ from tcorelab.cores import (
     five_core_beads,
     phi1,
     phi1_inv,
+    phi2,
 )
 from tcorelab.orbits import c1_shift, c2_shift, orbit_step
 from tcorelab.partitions import Partition, beta_contents, enumerate_partitions
+from tcorelab.stats import RUN
 
 from strategies import long_partitions, long_partitions_4_mod_5, partitions
 from test_partitions import conjugate_oracle
+from test_stats import (
+    five_core_crank_by_definition,
+    st_crank_by_definition,
+    two_quotient_rank_by_definition,
+)
 
 T_RANGE = range(2, 10)
 
@@ -87,6 +102,16 @@ def test_conjugate_matches_transpose(p):
     conj = p.conjugate()
     assert conj == conjugate_oracle(p)
     assert conj.conjugate() == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(partitions(), long_partitions()))
+def test_conjugate_is_canonical(p):
+    # conjugation wraps its columns without validation, so each result must
+    # pass the validating constructor unchanged
+    c = p.conjugate()
+    assert type(c) is Partition
+    assert Partition(tuple(c)) == c
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,3 +175,93 @@ def test_orbit_step_matches_capital_phi(p):
                       capital_phi_inv(c1_shift(alpha), c2_shift(quotient)))
     # the split of each image gives back its key
     assert tuple(map(five_core_beads, images)) == keys
+
+
+def srank_by_conjugate(p):
+    return p.odd_part_count() - p.conjugate().odd_part_count()
+
+
+def bg_rank_by_two_core(p):
+    """The first coordinate of the 2-core's n-vector."""
+    return phi2(phi1(p, 2).core, 2)[0]
+
+
+def ag_crank_by_definition(p):
+    ones = p.count(1)
+    return p.largest if not ones else sum(1 for part in p if part > ones) - ones
+
+
+# (kernel, definition, strategy)
+ROUTES = {
+    "srank": (stats.srank, srank_by_conjugate, long_partitions),
+    "bg-rank": (stats.bg_rank, bg_rank_by_two_core, long_partitions),
+    "ag-crank": (stats.ag_crank, ag_crank_by_definition, long_partitions),
+    "st-crank": (stats.st_crank, st_crank_by_definition, long_partitions),
+    "two-quotient-rank": (stats.two_quotient_rank, two_quotient_rank_by_definition,
+                          long_partitions),
+    "five-core-crank": (stats.five_core_crank, five_core_crank_by_definition,
+                        long_partitions_4_mod_5),
+}
+
+
+def _edge_shapes():
+    """Shapes around the stretch length RUN."""
+    # runs of each length from RUN - 1 to 2 RUN + 1, each starting a
+    # stretch, so a run ends at every place a gallop's bracket can; every
+    # pair of sixes counts toward the st-crank
+    shapes = [[6] * length + [3] * length + [2] * 3 + [1] * length
+              for length in range(RUN - 1, 2 * RUN + 2)]
+    for length in (RUN - 1, RUN, RUN + 1, 2 * RUN - 1, 2 * RUN + 1):
+        # one run alone, and runs that start inside a stretch
+        shapes += [[7] * length,
+                   [9, 8, 8, 5] + [4] * length + [2] * (length + 1) + [1] * length]
+    for count in (RUN - 1, RUN, RUN + 1):
+        # exactly this many parts: distinct, all equal, and two runs
+        shapes += [list(range(count, 0, -1)), [2] * count,
+                   [5] * (count // 2) + [2] * (count - count // 2)]
+    # an even pair across the first stretch's edge: into a run of twos, whose
+    # pairs are the extraction's ones, into a run of fours, and into parts
+    # read one by one
+    shapes += [[9] * (RUN - 1) + [2] * (RUN + 2),
+               [9] * (RUN - 1) + [4] * (2 * RUN + 1) + [2] * 3,
+               [9] * (RUN - 1) + [4, 4] + [3] * (RUN + 5) + [1, 1],
+               [11] * (RUN - 2) + [6, 6, 6] + [1] * (RUN - 1)]
+    # a staircase, and one with every part doubled
+    shapes += [list(range(3 * RUN, 0, -1)),
+               [part for part in range(2 * RUN, 0, -1) for _ in (0, 1)]]
+    return shapes
+
+
+EDGE_SHAPES = _edge_shapes()
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_statistics_match_definitions(name, data):
+    kernel, definition, strategy = ROUTES[name]
+    p = data.draw(strategy())
+    assert kernel(p) == definition(p)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_statistics_match_definitions_around_the_stretch(name):
+    kernel, definition, strategy = ROUTES[name]
+    for parts in EDGE_SHAPES:
+        if strategy is long_partitions_4_mod_5:
+            parts = parts + [1] * ((4 - sum(parts)) % 5)
+        p = Partition.from_parts(parts)
+        assert kernel(p) == definition(p), parts
+
+
+def test_five_core_crank_rejects_a_long_partition_of_the_wrong_weight(capsys):
+    # the run route adds the weight up run by run and raises the same error
+    # as the short route
+    p = Partition([3] * RUN + [1] * 3)
+    with pytest.raises(ValueError) as exc:
+        stats.five_core_crank(p)
+    assert str(exc.value) == f"weight {p.weight} is not 4 (mod 5)"
+    assert main(["stat", "--stat", "five-core-crank", "--partition", p.to_text()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: weight {p.weight} is not 4 (mod 5)\n"

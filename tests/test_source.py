@@ -151,13 +151,15 @@ def _owners(path, match):
     return [owner[id(node)] for node in ast.walk(tree) if match(node)]
 
 
-def test_trusted_partitions_come_from_three_producers():
-    # Partition._trusted skips validation, so it stays with the three
+def test_trusted_partitions_come_from_five_producers():
+    # Partition._trusted skips validation, so it stays with the five
     # producers that are canonical by construction, and no other code
     # builds a Partition by tuple.__new__ around it
     callers = [where for path in SOURCES for where in _owners(
         path, lambda node: isinstance(node, ast.Attribute) and node.attr == "_trusted")]
     assert sorted(callers) == ["cores._partition_from_colors",
+                               "cores.phi1",
+                               "partitions.Partition.conjugate",
                                "partitions.enumerate_partitions",
                                "tables.WeightTable.partitions"]
     makers = [where for path in SOURCES for where in _owners(
@@ -191,3 +193,12 @@ def test_one_orbit_step():
         and getattr(node.func, "id", getattr(node.func, "attr", None))
         in ("c1_shift", "c2_shift"))]
     assert callers == ["orbits.orbit_step"] * 2
+
+
+def test_one_run_step():
+    # the statistics find the end of a run in one helper; ag_crank's two
+    # counts are the only other bisections
+    path = next(path for path in SOURCES if path.name == "stats.py")
+    callers = _owners(path, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", "")).startswith("bisect"))
+    assert sorted(callers) == ["stats._stretches", "stats.ag_crank", "stats.ag_crank"]
