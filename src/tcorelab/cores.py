@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
 from operator import add, neg
 from typing import Iterator, NamedTuple, Sequence
@@ -148,6 +149,12 @@ def _charges_and_bead_parts(
 # of 3 to 8 time alike, and 2 is slower on the readings of small partitions
 _READING_RUN = 4
 
+# a reassembly of this many parts or more lays each full band of levels
+# down as one run of equal parts; over the reassemblies of the query-large
+# benchmark (CPython 3.11.7, 2 vCPUs) the band route overtook the per-bead
+# route between 384 and 512 parts
+BAND_PARTS = 512
+
 
 def _partition_from_colors(
     t: int, charges: Sequence[int], bead_parts: Sequence[Sequence[int]]
@@ -169,6 +176,13 @@ def _partition_from_colors(
     laid at the gap (a reading of 0 or less) is rejected with ValueError.
     A run of equal readings gives contents t apart, laid down as one range;
     so do the undisplaced beads of each colour.
+
+    A reassembly of BAND_PARTS or more parts goes through `_parts_by_bands`,
+    which lays each band of levels that every colour fills down as one run
+    of equal parts and sorts and maps only the beads between bands.  It
+    hands the inputs that the per-bead route rejects, or that lay a bead on
+    or below the one before, back to the per-bead route, so both routes
+    give the same partition or the same ValueError.
     """
     if len(charges) != t:
         raise ValueError(f"expected {t} charges, got {tuple(charges)}")
@@ -180,6 +194,23 @@ def _partition_from_colors(
         raise ValueError(f"expected {t} bead readings, got {len(bead_parts)}")
     # min over a list costs less than over a generator at these lengths
     gap = min([(charges[i] - len(bead_parts[i])) * t + i for i in range(t)])
+    parts = None
+    if -gap >= BAND_PARTS:
+        parts = _parts_by_bands(t, charges, bead_parts, gap)
+    if parts is None:
+        parts = _parts_by_beads(t, charges, bead_parts, gap)
+    return Partition._trusted(parts)
+
+
+def _parts_by_beads(
+    t: int, charges: Sequence[int], bead_parts: Sequence[Sequence[int]], gap: int
+) -> list[int]:
+    """The parts of a reassembly, from the sorted contents of all its beads.
+
+    The route for fewer than BAND_PARTS parts and for the inputs that
+    `_parts_by_bands` hands back; raises ValueError when a bead lies at or
+    below the gap.
+    """
     contents: list[int] = []
     for i in range(t):
         c = charges[i]
@@ -215,7 +246,98 @@ def _partition_from_colors(
     # distinct contents give nonincreasing positive parts; they go through a
     # list, as a tuple grown from the map by reallocation raised the peak
     # memory of the registry checks by about 1.5 MiB
-    return Partition._trusted(list(map(add, contents, range(1, 1 - gap))))
+    return list(map(add, contents, range(1, 1 - gap)))
+
+
+def _parts_by_bands(
+    t: int, charges: Sequence[int], bead_parts: Sequence[Sequence[int]], gap: int
+) -> list[int] | None:
+    """The parts of a reassembly, one run of equal parts per full band of levels.
+
+    The beads are found bottom up by the same steps as the per-bead route.
+    Each run of equal readings that that route lays down as one range, and
+    each colour's undisplaced beads above the gap, fill an interval of levels
+    (quotients); the other beads are laid down one at a time.  A band of
+    levels that intervals of every colour fill is a block of consecutive
+    contents, so it gives one run of equal parts.  The beads outside the
+    bands are sorted and turned into parts as in the per-bead route.
+
+    Returns None when a bead lies at or below the one laid before it, or at
+    the gap, so that the per-bead route gives its result or its ValueError.
+    """
+    contents: list[int] = []
+    # per colour, its intervals bottom up, each as the level under its
+    # bottom and its top level, so range(top, under, -1) walks its levels
+    ends: list[list[int]] = []
+    # (top, bottom) levels of the stretches between a colour's intervals
+    empties: list[tuple[int, int]] = []
+    for i in range(t):
+        c = charges[i]
+        lam = bead_parts[i]
+        n = len(lam)
+        top = c - n - 1
+        # the lowest level whose content lies above the gap
+        bottom = (gap - i) // t + 1
+        mine = [bottom - 1, top] if top >= bottom else []
+        below = max(top, bottom - 1)
+        x = n
+        while x:
+            v = lam[x - 1]
+            lo = v + c - x
+            if lo <= below:
+                return None
+            if x >= _READING_RUN and lam[x - _READING_RUN] == v:
+                x = bisect_left(lam, -v, 0, x - _READING_RUN, key=neg)
+                if mine and lo - 1 > mine[-1]:
+                    empties.append((lo - 1, mine[-1] + 1))
+                below = v + c - x - 1
+                mine += (lo - 1, below)
+            else:
+                contents.append(lo * t + i)
+                below = lo
+                x -= 1
+        ends.append(mine)
+    # sweep the empty stretches top down: between them, below the lowest
+    # top and above the highest bottom of the colours' intervals, every
+    # level is full; bands holds each band's top and the level below it,
+    # top down
+    bands: list[int] = []
+    if all(ends):
+        ceiling = min([mine[-1] for mine in ends])
+        floor = max([mine[0] for mine in ends]) + 1
+        empties.append((floor - 1, floor - 1))
+        empties.sort(reverse=True)
+        for hi, lo in empties:
+            if hi < ceiling:
+                bands += (ceiling, hi)
+            if hi < floor:
+                break
+            ceiling = min(ceiling, lo - 1)
+    # each band lies inside the levels that every colour's intervals fill,
+    # so a colour's ends and the bands', sorted together, pair up into the
+    # stretches of its intervals outside the bands
+    for i in range(t):
+        cuts = sorted(ends[i] + bands, reverse=True)
+        pairs = iter(cuts)
+        for hi, stop in zip(pairs, pairs):
+            contents += range(hi * t + i, stop * t + i, -t)
+    contents.sort(reverse=True)
+    # the beads above each band come before its run of equal parts
+    parts: list[int] = []
+    row = 1
+    done = 0
+    pairs = iter(bands)
+    for hi, stop in zip(pairs, pairs):
+        edge = hi * t + t - 1
+        above = bisect_left(contents, -edge, done, key=neg)
+        parts += map(add, contents[done:above], range(row, row + above - done))
+        row += above - done
+        done = above
+        size = (hi - stop) * t
+        parts += repeat(edge + row, size)
+        row += size
+    parts += map(add, contents[done:], range(row, row + len(contents) - done))
+    return parts
 
 
 def phi1(p: Partition, t: int) -> CoreQuotient:

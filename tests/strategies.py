@@ -61,6 +61,57 @@ def _long_parts(draw, max_weight: int) -> list[int]:
     return parts
 
 
+# Run lengths t*k - 1, t*k and t*k + 1 for t = 2..9.  A run of equal parts
+# has consecutive contents, so a run of t*k parts that starts at colour 0
+# fills k levels of every colour, and reassembly lays each such band of
+# levels down as one run of equal parts; these lengths put a run's ends on
+# both sides of a band's edges.  Runs of equal readings take them too.
+BAND_RUNS = sorted({k * t + d for t in range(2, 10) for k in (1, 2, 3, 8, 32)
+                    for d in (-1, 0, 1)})
+
+
+@st.composite
+def partitions_of_length(draw, length: int) -> Partition:
+    """A partition of exactly `length` parts, in up to ten runs of equal parts."""
+    drawn = draw(st.lists(st.one_of(st.sampled_from(BAND_RUNS), st.integers(1, length)),
+                          min_size=1, max_size=10))
+    runs = []
+    left = length
+    for run in drawn:
+        runs.append(min(run, left))
+        left -= runs[-1]
+        if not left:
+            break
+    else:
+        runs.append(left)
+    sizes = draw(st.lists(st.integers(1, 1000), min_size=len(runs), max_size=len(runs),
+                          unique=True))
+    sizes.sort(reverse=True)
+    return Partition([size for size, run in zip(sizes, runs) for _ in range(run)])
+
+
+@st.composite
+def bead_keys(draw, t: int, lowest: int = 1, rising: bool = False):
+    """(charges, readings) for t colours, as reassembly takes them.
+
+    The charges sum to zero.  Each reading is up to four runs of equal
+    values of at least `lowest`, nonincreasing unless `rising`, in which
+    case the runs come in any order.
+    """
+    charges = draw(st.lists(st.integers(-40, 40), min_size=t - 1, max_size=t - 1))
+    charges.append(-sum(charges))
+    readings = []
+    for _ in range(t):
+        runs = draw(st.lists(st.one_of(st.sampled_from(BAND_RUNS), st.integers(1, 400)),
+                             max_size=4))
+        values = draw(st.lists(st.integers(lowest, 40), min_size=len(runs),
+                               max_size=len(runs), unique=True))
+        if not rising:
+            values.sort(reverse=True)
+        readings.append(tuple(v for v, run in zip(values, runs) for _ in range(run)))
+    return tuple(charges), tuple(readings)
+
+
 @st.composite
 def long_partitions(draw, max_weight: int = 20_000) -> Partition:
     """A partition of weight <= max_weight made of a few long runs of equal parts."""

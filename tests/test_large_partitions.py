@@ -11,6 +11,13 @@ loops that the kernels replaced (copied below as the reference route), and
 the capital_phi route for the orbit step.  Every partition of n <= 20 is
 also checked against the per-bead loops at each t = 2..9.
 
+A reassembly of BAND_PARTS or more parts lays each band of levels that
+every colour fills down as one run of equal parts.  It is held to the
+per-bead loops on partitions of BAND_PARTS - 1, BAND_PARTS and
+BAND_PARTS + 1 parts, on drawn charges and readings, and on the keys of
+the orbit step; and to reassembly's own per-bead route, result for result
+and error for error, on readings that fall to 0 or below or rise.
+
 The statistics read a partition of RUN or more parts in stretches of RUN
 parts and add up each run that fills a stretch in closed form.  Each
 kernel is held to its definition route on the same long partitions and on
@@ -26,8 +33,10 @@ from hypothesis import strategies as st
 from tcorelab import stats
 from tcorelab.cli import main
 from tcorelab.cores import (
+    BAND_PARTS,
     _charges_and_bead_parts,
     _partition_from_colors,
+    _parts_by_beads,
     capital_phi,
     capital_phi_inv,
     five_core_beads,
@@ -39,7 +48,13 @@ from tcorelab.orbits import c1_shift, c2_shift, orbit_step
 from tcorelab.partitions import Partition, beta_contents, enumerate_partitions
 from tcorelab.stats import RUN
 
-from strategies import long_partitions, long_partitions_4_mod_5, partitions
+from strategies import (
+    bead_keys,
+    long_partitions,
+    long_partitions_4_mod_5,
+    partitions,
+    partitions_of_length,
+)
 from test_partitions import conjugate_oracle
 from test_stats import (
     five_core_crank_by_definition,
@@ -173,8 +188,81 @@ def test_orbit_step_matches_capital_phi(p):
     images = tuple(_partition_from_colors(5, *key) for key in keys)
     assert images == (capital_phi_inv(c1_shift(alpha), quotient),
                       capital_phi_inv(c1_shift(alpha), c2_shift(quotient)))
+    # the rotated charges, with the readings as they are and moved by
+    # c2_shift, reassemble as the per-bead loops lay them down
+    assert images == tuple(reassemble_by_bead(5, *key) for key in keys)
     # the split of each image gives back its key
     assert tuple(map(five_core_beads, images)) == keys
+
+
+def per_bead_route(t, charges, bead_parts):
+    """The per-bead route of reassembly at any part count.
+
+    Returns the parts, or the message of the ValueError it raises.
+    """
+    try:
+        return tuple(_parts_by_beads(t, charges, bead_parts,
+                                     -part_count(t, charges, bead_parts)))
+    except ValueError as exc:
+        return str(exc)
+
+
+def part_count(t, charges, bead_parts):
+    """Minus the gap: the number of parts the reassembly gives."""
+    return -min((charges[i] - len(bead_parts[i])) * t + i for i in range(t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_band_route_matches_per_bead_loops_around_the_threshold(data):
+    for length in (BAND_PARTS - 1, BAND_PARTS, BAND_PARTS + 1):
+        p = data.draw(partitions_of_length(length))
+        for t in T_RANGE:
+            charges, bead_parts = _charges_and_bead_parts(p, t)
+            assert _partition_from_colors(t, charges, bead_parts) == p
+            moved = bead_parts[1:] + bead_parts[:1]
+            for readings in ((), moved):
+                assert (_partition_from_colors(t, charges, readings)
+                        == reassemble_by_bead(t, charges, readings))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_band_route_matches_per_bead_loops_on_drawn_keys(data):
+    t = data.draw(st.sampled_from(T_RANGE))
+    charges, readings = data.draw(bead_keys(t))
+    r = _partition_from_colors(t, charges, readings)
+    assert r == reassemble_by_bead(t, charges, readings)
+    # positive nonincreasing readings give a canonical partition
+    assert Partition(tuple(r)) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_band_route_gives_the_per_bead_result_or_error(data):
+    # readings of 0 or less lay a bead at the gap, or on another bead, and
+    # rising ones lay beads out of order: whatever the per-bead route makes
+    # of them, a partition or a ValueError, the band route makes too
+    t = data.draw(st.sampled_from(T_RANGE))
+    rising = data.draw(st.booleans())
+    charges, readings = data.draw(bead_keys(t, lowest=-2, rising=rising))
+    try:
+        outcome = tuple(_partition_from_colors(t, charges, readings))
+    except ValueError as exc:
+        outcome = str(exc)
+    assert outcome == per_bead_route(t, charges, readings)
+
+
+@pytest.mark.parametrize("t, charges, readings", [
+    (2, (0, 0), ((3,) * 300 + (0,), ())),
+    (3, (0, 1, -1), ((), (), (2,) * 200 + (0,))),
+])
+def test_band_route_rejects_a_bead_at_the_gap(t, charges, readings):
+    # a reading of 0 at the colour of the gap lays its bead there; these
+    # keys give more than BAND_PARTS parts, so the band route reads them
+    assert part_count(t, charges, readings) >= BAND_PARTS
+    with pytest.raises(ValueError, match="bead bookkeeping out of balance"):
+        _partition_from_colors(t, charges, readings)
 
 
 def srank_by_conjugate(p):
