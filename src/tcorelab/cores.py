@@ -480,11 +480,15 @@ def five_core_beads(
 
     The charges are the 5-core's n-vector (``alpha_from_n`` gives alpha) and
     bead reading i is the conjugate of quotient component i, so neither the
-    core nor the quotient is built.  Needs weight 4 (mod 5).
+    core nor the quotient is built.  Needs weight 4 (mod 5), which the
+    charges give after the split: the weight is 5|quotient| plus the core's
+    5||c||^2/2 + sum(i * c_i), and ||c||^2 is even as the charges sum to 0, so
+    the weight is sum(i * c_i) (mod 5).  No pass over the parts sums it.
     """
-    if p.weight % 5 != 4:
+    charges, beads = _charges_and_bead_parts(p, 5)
+    if sum(i * c for i, c in enumerate(charges)) % 5 != 4:
         raise ValueError(f"weight {p.weight} is not 4 (mod 5)")
-    return _charges_and_bead_parts(p, 5)
+    return charges, beads
 
 
 def capital_phi_inv(

@@ -2,7 +2,8 @@
 
 The checks read partitions and statistic values from one `WeightTable` per
 weight and t-core counts from one `core_tally` walk; both are kept for the
-life of the process, until `clear_memo`.
+life of the process, until `clear_memo`.  A weight table is built from the
+tables of the lower weights, never by enumerating its weight.
 
 Table 1 groups partitions by (srank mod 4, St-crank mod 5); Table 2 lists
 the orbits of the shifted orbit map with the 5-core crank as column index,
@@ -17,74 +18,224 @@ import operator
 from array import array
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import repeat, starmap, tee
-from typing import Callable, Iterator
+from itertools import chain, repeat, starmap, tee
+from typing import Callable, Iterable, Iterator
 
 from . import stats
 from .cores import iter_core_vectors, phi1, phi2_inv
 from .orbits import orbit
-from .partitions import Partition, check_enumeration_bound, enumerate_partitions, is_t_core
+from .partitions import Partition, check_enumeration_bound, is_t_core
 
 
 def clear_memo() -> None:
-    """Empty both process-wide tables, so the next check recomputes from
+    """Empty every process-wide table, so the next check recomputes from
     scratch."""
     weight_table.cache_clear()
     _core_tally.cache_clear()
+    _charge_steps.cache_clear()
 
 
 # ---------------------------------------------------------------------------
 # per-weight statistic tables and t-core tallies
 
-# Columns beside stats.STATISTICS.  Every column function is looked up when a
-# column is filled, never bound at import, so wrappers installed around the
-# statistics see each call.
+# Columns beside stats.STATISTICS that are filled by replaying the weight's
+# partitions through a function, like the statistics outside FOLDS.  Those
+# functions are looked up when a column is filled, never bound at import, so
+# wrappers installed around them see each call.
 COLUMNS: dict[str, Callable[[Partition], int]] = {
-    "odd-parts": lambda p: p.odd_part_count(),
-    "conjugate-odd-parts": lambda p: p.conjugate().odd_part_count(),
     "is-5-core": lambda p: is_t_core(p, 5),
-    "has-repeated-even-part": lambda p: stats.has_repeated_even_part(p),
 }
+
+
+@lru_cache(maxsize=None)
+def _charge_steps() -> tuple[list[list[int]], list[int]]:
+    """The 5-core crank as a walk over the charges mod 5.
+
+    For a partition with nu parts, stats.five_core_crank reads the charges
+    c_i = f_i(nu) + #{x : lambda_x - x = i (mod 5)}, with f_i(nu) =
+    floor((-nu-1-i)/5) + 1; the empty partition has c = 0.  Prepending a
+    part a to q lays a bead at a - 1 and moves each bead of q down one
+    place, so q's beads of residue i + 1 count for residue i, and those of
+    residue 0 for residue 4.  The part count grows by one, and f_i(nu + 1)
+    = f_{i+1}(nu) for i < 4 while f_4(nu + 1) = f_0(nu) - 1.  So a + q has
+    the charges (c1, c2, c3, c4, c0 - 1) of q, plus one at residue
+    (a - 1) mod 5.  The crank 1 + c0 + c1 + 3c3 mod 5 reads the charges mod
+    5 only, so a state s in 0..5**5 - 1 with c_i mod 5 as base-5 digit i
+    carries it from weight to weight.  The crank is read at weights 4
+    (mod 5), where stats.five_core_crank is defined.
+
+    Returns steps[r][s], the state of a + q for a part a = r + 1 (mod 5)
+    and a q in state s, and crank[s].
+    """
+    shift = [s // 5 + 625 * ((s - 1) % 5) for s in range(3125)]
+    steps = []
+    for r in range(5):
+        unit = 5 ** r
+        steps.append([s - 4 * unit if s // unit % 5 == 4 else s + unit for s in shift])
+    crank = [(1 + s + s // 5 + 3 * (s // 125)) % 5 for s in range(3125)]
+    return steps, crank
+
+
+def _charge_step(a: int, charges: array) -> Iterator[int]:
+    return map(_charge_steps()[0][(a - 1) % 5].__getitem__, charges)
+
+
+def _repeated_even_fold(a: int, exact: int, repeated: array) -> Iterable[int]:
+    # a + q repeats the even part a exactly when q's largest part is a
+    return chain(repeat(1, exact), repeated[exact:]) if a % 2 == 0 else repeated
+
+
+def _ag_crank_fold(a: int, _: int, crank: array, ones: array) -> Iterator[int]:
+    # Without ones (a >= 2) the crank is the largest part, a.  Otherwise a
+    # keeps q's ones and joins the parts larger than their number when it
+    # exceeds it.  For a = 1, q is 1^m with crank -m, and a + q has -(m + 1).
+    # The last q, 1^m, has the most ones.
+    most = ones[-1]
+    bump = [a] + [1] * (a - 1) + [0] * (most - a + 1) if a > 1 else [-1] * (most + 1)
+    return map(operator.add, map(operator.mul, crank, map(bool, ones)),
+               map(bump.__getitem__, ones))
+
+
+# Columns folded from the lower weights: name -> (the columns of q that it
+# reads, fold).  The partitions of n with largest part a are a + q for the q
+# of weight n - a with largest part <= a, a suffix of that weight's table.
+# fold(a, exact, *slices) gives the column over those a + q from the read
+# columns over that suffix, whose first `exact` q have largest part a.  Each
+# fold agrees with its stats kernel or its definition on every partition;
+# the tests hold them to that.
+FOLDS: dict[str, tuple[tuple[str, ...], Callable[..., Iterable[int]]]] = {
+    "part-count": (("part-count",), lambda a, _, length: map((1).__add__, length)),
+    "odd-parts": (("odd-parts",), lambda a, _, odd: map((a & 1).__add__, odd)),
+    # columns 1..q_1 of q change parity and a - q_1 columns of length one
+    # are added, so a + q has a minus q's odd columns
+    "conjugate-odd-parts": (("conjugate-odd-parts",),
+                            lambda a, _, codd: map(a.__sub__, codd)),
+    "srank": (("odd-parts", "conjugate-odd-parts"), lambda a, _, odd, codd: map(
+        ((a & 1) - a).__add__, map(operator.add, odd, codd))),
+    "bg-rank": (("bg-rank",), lambda a, _, bg: map((a & 1).__sub__, bg)),
+    "dyson-rank": (("part-count",), lambda a, _, length: map((a - 1).__sub__, length)),
+    "has-repeated-even-part": (("has-repeated-even-part",), _repeated_even_fold),
+    "one-parts": (("one-parts",), lambda a, _, ones: map(int(a == 1).__add__, ones)),
+    "ag-crank": (("ag-crank", "one-parts"), _ag_crank_fold),
+    "five-core-charges": (("five-core-charges",),
+                          lambda a, _, charges: _charge_step(a, charges)),
+    "five-core-crank": (("five-core-charges",), lambda a, _, charges: map(
+        _charge_steps()[1].__getitem__, _charge_step(a, charges))),
+}
+
+
+def _fold_sources(names: list[str]) -> list[str]:
+    """Every column that folding the named columns reads at lower weights."""
+    found: set[str] = set()
+    todo = list(names)
+    while todo:
+        for source in FOLDS[todo.pop()][0]:
+            if source not in found:
+                found.add(source)
+                todo.append(source)
+    return sorted(found)
 
 
 class WeightTable:
     """The partitions of one weight, packed, and statistic columns over them.
 
-    The first read enumerates the weight once and keeps that enumeration as
-    one bytes object: the parts of each partition, one byte per part, with a
-    zero byte between partitions.  Every later read replays it, so a weight
-    is enumerated once however many columns and walks read it.  Entry k of
-    every column belongs to the k-th partition in enumeration order, so a
-    joint distribution is a Counter over zipped columns.  A column is filled
-    the first time a check reads it; every value is bounded by the weight in
-    absolute value, so 16-bit arrays hold them at any enumerable weight.
-    Every read checks the weight against the enumeration bound, so a table
-    filled under a higher bound answers as a cold one would.
+    The partitions are kept in reverse lexicographic order as one bytes
+    object: the parts of each partition, one byte per part, with a zero byte
+    between partitions.  Those of largest part a are a followed by the
+    partitions of n - a whose largest part is at most a, a suffix of that
+    weight's table, so `_pack` builds the bytes from the lower weights' with
+    one `replace` per largest part, and records where each weight's "largest
+    part <= b" suffix starts: `offsets[b]` in bytes and `firsts[b]` in
+    partitions, for b = 0..n.  Every read replays the bytes, so no weight
+    is enumerated.
+
+    Entry k of every column belongs to the k-th partition, so a joint
+    distribution is a Counter over zipped columns.  A column is filled the
+    first time a check reads it.  A column in FOLDS is folded from the same
+    suffixes of the lower weights' columns, C-level maps with no Python step
+    per partition; the tables of the weights below are filled first, bottom
+    up, with the columns that the fold reads.  Any other column replays the
+    partitions through its function.  Every value is bounded by the weight
+    in absolute value (a fold's auxiliary states by 5**5), so 16-bit arrays
+    hold them at any packable weight.  Every read checks the weight against
+    the enumeration bound, so a table filled under a higher bound answers as
+    a cold one would; the weights below are under the bound whenever the
+    weight is.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.packed: bytes | None = None
+        self.size = 0
+        self.offsets: list[int] = []
+        self.firsts: list[int] = []
         self.filled: dict[str, array] = {}
 
     def _fill(self, names: tuple[str, ...]) -> None:
-        check_enumeration_bound(self.n)
-        if self.n > 255:
+        n = self.n
+        check_enumeration_bound(n)
+        if n > 255:
             raise ValueError(f"a weight table packs one part per byte, so it holds "
-                             f"weights up to 255, not {self.n}")
-        if self.packed is None:
-            self.packed = b"\0".join(map(bytes, enumerate_partitions(self.n)))
+                             f"weights up to 255, not {n}")
+        if "five-core-crank" in names and n % 5 != 4:
+            raise ValueError(f"weight {n} is not 4 (mod 5)")
+        folded = [name for name in names if name in FOLDS and name not in self.filled]
+        if self.packed is None or folded:
+            sources = _fold_sources(folded)
+            lower: list[WeightTable] = []
+            for m in range(n):
+                table = weight_table(m)
+                table._build(lower, sources)
+                lower.append(table)
+            self._build(lower, folded)
         for name in names:
             if name not in self.filled:
                 self.filled[name] = array("h", map(_column_function(name), self.partitions()))
 
+    def _build(self, lower: list[WeightTable], names: list[str]) -> None:
+        """Pack the weight and fold the named columns from the tables of
+        the weights below it, which hold the columns the folds read."""
+        if self.packed is None:
+            self._pack(lower)
+        n = self.n
+        for name in names:
+            if name in self.filled:
+                continue
+            sources, fold = FOLDS[name]
+            values = [0] * (n == 0)  # every fold is 0 on ()
+            for a in range(n, 0, -1):
+                q = lower[n - a]
+                first = q.firsts[min(a, n - a)]
+                exact = q.firsts[a - 1] - first if a <= n - a else 0
+                values += fold(a, exact, *(q.filled[s][first:] for s in sources))
+            self.filled[name] = array("h", values)
+
+    def _pack(self, lower: list[WeightTable]) -> None:
+        n = self.n
+        blocks = []
+        self.offsets = [0] * (n + 1)
+        self.firsts = [0] * (n + 1)
+        offset = first = 0
+        for a in range(n, 0, -1):
+            q = lower[n - a]
+            b = min(a, n - a)
+            head = bytes((a,))
+            blocks.append(head + q.packed[q.offsets[b]:].replace(b"\0", b"\0" + head))
+            self.offsets[a], self.firsts[a] = offset, first
+            offset += len(blocks[-1]) + 1
+            first += q.size - q.firsts[b]
+        if n:  # no partition of n has largest part 0
+            self.offsets[0], self.firsts[0] = offset, first
+        self.size = first or 1  # the empty partition, at weight 0
+        self.packed = b"\0".join(blocks)
+
     def total(self) -> int:
         """p(n), the number of partitions of the weight."""
         self._fill(())
-        return self.packed.count(0) + 1
+        return self.size
 
     def partitions(self) -> Iterator[Partition]:
-        """The partitions of the weight in enumeration order, replayed."""
+        """The partitions of the weight in reverse lexicographic order, replayed."""
         self._fill(())
         return map(Partition._trusted, self.packed.split(b"\0"))
 

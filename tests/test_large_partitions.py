@@ -195,6 +195,28 @@ def test_orbit_step_matches_capital_phi(p):
     assert tuple(map(five_core_beads, images)) == keys
 
 
+def test_five_core_beads_checks_the_weight_on_every_small_partition():
+    for n in range(21):
+        for p in enumerate_partitions(n):
+            if n % 5 == 4:
+                assert five_core_beads(p) == _charges_and_bead_parts(p, 5)
+            else:
+                with pytest.raises(ValueError, match=rf"^weight {n} is not 4 \(mod 5\)$"):
+                    five_core_beads(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(partitions(), long_partitions()))
+def test_five_core_beads_checks_the_weight_on_long_partitions(p):
+    # the weight class is read off the charges, sum(i * c_i) (mod 5), after
+    # the split; it accepts and rejects exactly what the weight does
+    if p.weight % 5 == 4:
+        assert five_core_beads(p) == _charges_and_bead_parts(p, 5)
+    else:
+        with pytest.raises(ValueError, match=rf"^weight {p.weight} is not 4 \(mod 5\)$"):
+            five_core_beads(p)
+
+
 def per_bead_route(t, charges, bead_parts):
     """The per-bead route of reassembly at any part count.
 

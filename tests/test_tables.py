@@ -1,14 +1,133 @@
-"""Table rendering against the golden transcriptions."""
+"""Weight tables against the enumeration, and table rendering against the
+golden transcriptions.
+
+A weight table packs its partitions and folds most of its columns from the
+lower weights' tables.  `enumerate_partitions` and the statistic kernels
+stay the oracles: the packed bytes and the suffix starts are held to the
+enumeration at every weight up to 30, and every folded column to its kernel
+or definition over the replayed partitions, whatever order the weights and
+columns are filled in.
+"""
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
 
-from tcorelab import tables
-from tcorelab.partitions import Partition
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tcorelab import stats, tables
+from tcorelab.cores import _charges_and_bead_parts
+from tcorelab.partitions import BoundExceededError, Partition, enumerate_partitions
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# The definition of every folded column.
+FOLD_ORACLES = {
+    "part-count": len,
+    "odd-parts": lambda p: p.odd_part_count(),
+    "conjugate-odd-parts": lambda p: p.conjugate().odd_part_count(),
+    "srank": stats.srank,
+    "bg-rank": stats.bg_rank,
+    "dyson-rank": stats.dyson_rank,
+    "has-repeated-even-part": stats.has_repeated_even_part,
+    "one-parts": lambda p: p.count(1),
+    "ag-crank": stats.ag_crank,
+    # the charges of the bead split mod 5, charge i as digit i in base 5
+    "five-core-charges": lambda p: sum(
+        c % 5 * 5 ** i for i, c in enumerate(_charges_and_bead_parts(p, 5)[0])),
+    "five-core-crank": stats.five_core_crank,
+}
+
+
+def oracle_column(n: int, name: str) -> list[int]:
+    return [int(FOLD_ORACLES[name](p)) for p in enumerate_partitions(n)]
+
+
+def readable(n: int, name: str) -> bool:
+    return n % 5 == 4 or name != "five-core-crank"
+
+
+@pytest.fixture
+def cold():
+    tables.clear_memo()
+    yield
+    tables.clear_memo()
+
+
+def test_every_fold_has_an_oracle():
+    assert set(FOLD_ORACLES) == set(tables.FOLDS)
+    assert not set(tables.FOLDS) & set(tables.COLUMNS)
+
+
+def test_packing_matches_the_enumeration(cold):
+    for n in range(31):
+        table = tables.weight_table(n)
+        expected = list(enumerate_partitions(n))
+        assert table.total() == len(expected)
+        assert table.packed == b"\0".join(map(bytes, expected)), n
+        # the partitions with largest part <= b start at firsts[b], offsets[b]
+        for b in range(n + 1):
+            first = sum(1 for p in expected if p and p[0] > b)
+            assert table.firsts[b] == first, (n, b)
+            assert table.offsets[b] == sum(len(p) + 1 for p in expected[:first]), (n, b)
+
+
+def test_five_core_crank_fold_at_every_weight_4_mod_5(cold):
+    for n in range(4, 35, 5):
+        table = tables.weight_table(n)
+        expected = list(map(stats.five_core_crank, table.partitions()))
+        assert list(table.columns("five-core-crank")[0]) == expected, n
+
+
+def test_five_core_crank_needs_weight_4_mod_5(cold):
+    for n in (0, 3, 10):
+        with pytest.raises(ValueError, match=f"^weight {n} is not 4 \\(mod 5\\)$"):
+            tables.weight_table(n).columns("srank", "five-core-crank")
+
+
+@pytest.mark.parametrize("weights", [range(26), range(25, -1, -1)], ids=["rising", "falling"])
+def test_folded_columns_match_their_definitions(cold, weights):
+    # filled weight by weight, up or down, the columns in either order
+    names = sorted(tables.FOLDS)
+    for n in weights:
+        for name in names if n % 2 else reversed(names):
+            if readable(n, name):
+                assert list(tables.weight_table(n).columns(name)[0]) == oracle_column(n, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(requests=st.lists(st.tuples(st.integers(0, 22), st.sampled_from(sorted(tables.FOLDS)),
+                                   st.booleans()), min_size=1, max_size=6))
+def test_folds_are_cold_warm_and_cleared_alike(requests):
+    # each request reads one column of one weight, after clearing the
+    # process-wide tables or not; a fresh table reads the same
+    tables.clear_memo()
+    try:
+        for n, name, clear in requests:
+            if clear:
+                tables.clear_memo()
+            if not readable(n, name):
+                continue
+            warm = tables.weight_table(n).columns(name)[0]
+            assert list(warm) == oracle_column(n, name), (n, name)
+            assert tables.WeightTable(n).columns(name)[0] == warm
+    finally:
+        tables.clear_memo()
+
+
+def test_a_fold_over_warm_weights_keeps_the_bound(cold, monkeypatch):
+    for n in range(21):
+        tables.weight_table(n).columns(*tables.FOLDS.keys() - {"five-core-crank"})
+    monkeypatch.setenv("TCORELAB_MAX_N", "20")
+    for n in (21, 24):
+        for names in ((), ("srank",), ("five-core-crank",), ("st-crank",)):
+            with pytest.raises(BoundExceededError, match=f"partitions of {n} exceeds the bound 20"):
+                tables.weight_table(n).columns(*names)
+        assert tables.weight_table(n).packed is None
+    assert tables.weight_table(20).columns("srank")[0] == tables.WeightTable(20).columns("srank")[0]
 
 
 def test_table1_matches_golden():

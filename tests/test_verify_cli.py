@@ -178,7 +178,7 @@ class TestClassCounts:
 
 
 # Every column a weight table can hold.
-TABLE_COLUMNS = sorted({*stats.STATISTICS, *tables.COLUMNS})
+TABLE_COLUMNS = sorted({*stats.STATISTICS, *tables.COLUMNS, *tables.FOLDS})
 
 
 class TestWeightTable:
@@ -424,7 +424,8 @@ class TestRegistry:
 
     def test_each_weight_is_enumerated_once(self, monkeypatch):
         # the 23 enumeration checks at weights <= 14, in two orders: the
-        # first read of a weight enumerates it, every later read replays it
+        # first read of a weight packs it (from the lower weights' tables),
+        # every later read replays it
         bounds = {
             "CHK-RAM5": {"max_n": 14}, "CHK-RAM7": {"max_n": 12},
             "CHK-RAM11": {"max_n": 14},
@@ -441,12 +442,13 @@ class TestRegistry:
             "CHK-THM5": {"max_n": 14}, "CHK-COR5": {"max_n": 14},
         }
         calls = Counter()
+        pack = tables.WeightTable._pack
 
-        def counting(n, *args, **kwargs):
-            calls[n] += 1
-            return enumerate_partitions(n, *args, **kwargs)
+        def counting(table, lower):
+            calls[table.n] += 1
+            return pack(table, lower)
 
-        monkeypatch.setattr(tables, "enumerate_partitions", counting)
+        monkeypatch.setattr(tables.WeightTable, "_pack", counting)
         for order in (list(bounds), list(reversed(bounds))):
             tables.clear_memo()
             calls.clear()
@@ -508,10 +510,13 @@ class TestRegistry:
     @pytest.mark.parametrize("statistic", ["st-crank", "srank", "ag-crank", "two-quotient-rank"])
     def test_fault_injected_witnesses(self, statistic, monkeypatch):
         # reports with one statistic replaced by a constant, recorded before
-        # the checks raised their witnesses instead of returning them
+        # the checks raised their witnesses instead of returning them; a
+        # folded column calls no kernel, so its fold is taken out and the
+        # table replays the replaced statistic
         expected = json.loads((GOLDEN / "fault_witnesses.json").read_text())[statistic]
         tables.clear_memo()
         monkeypatch.setitem(stats.STATISTICS, statistic, lambda p: 2)
+        monkeypatch.delitem(tables.FOLDS, statistic, raising=False)
         try:
             reports = {cid: verify.run_check(cid, **report["params"]).to_json()
                        for cid, report in expected.items()}
