@@ -4,8 +4,10 @@ Reports are emitted as one JSON object per line on stdout; human-readable
 summaries go to stderr.  Exit codes: 0 all pass (a found counterexample for
 CHK-AB5JR counts as a pass), 1 any failure, 2 usage error (a bad argument,
 or any ValueError the command raises, printed as one ``error:`` line).
-``verify`` runs every check it is given: a check that raises ValueError
-reports status "error", prints one ``error:`` line and makes the exit code 2.
+``verify`` first checks every id it is given, and an unknown one is a usage
+error before any check runs.  Then it runs every check: a check that raises
+ValueError reports status "error", prints one ``error:`` line and makes the
+exit code 2.
 """
 
 from __future__ import annotations
@@ -154,13 +156,13 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             ids = args.check
         else:
             parser.error("verify needs --check or --all")
+        for check_id in ids:
+            if check_id not in verify.REGISTRY:
+                raise ValueError(f"unknown check id {check_id!r}")
         code = 0
         for check_id in ids:
-            if check_id in verify.REGISTRY:
-                accepted = verify.REGISTRY[check_id].defaults
-                applicable = {k: v for k, v in overrides.items() if k in accepted}
-            else:
-                applicable = overrides
+            accepted = verify.REGISTRY[check_id].defaults
+            applicable = {k: v for k, v in overrides.items() if k in accepted}
             report = verify.run_check(check_id, **applicable)
             print(json.dumps(report.to_json()))
             if report.status == "error":

@@ -124,18 +124,6 @@ FOLDS: dict[str, tuple[tuple[str, ...], Callable[..., Iterable[int]]]] = {
 }
 
 
-def _fold_sources(names: list[str]) -> list[str]:
-    """Every column that folding the named columns reads at lower weights."""
-    found: set[str] = set()
-    todo = list(names)
-    while todo:
-        for source in FOLDS[todo.pop()][0]:
-            if source not in found:
-                found.add(source)
-                todo.append(source)
-    return sorted(found)
-
-
 class WeightTable:
     """The partitions of one weight, packed, and statistic columns over them.
 
@@ -150,17 +138,19 @@ class WeightTable:
     is enumerated.
 
     Entry k of every column belongs to the k-th partition, so a joint
-    distribution is a Counter over zipped columns.  A column is filled the
-    first time a check reads it.  A column in FOLDS is folded from the same
-    suffixes of the lower weights' columns, C-level maps with no Python step
-    per partition; the tables of the weights below are filled first, bottom
-    up, with the columns that the fold reads.  Any other column replays the
-    partitions through its function.  Every value is bounded by the weight
-    in absolute value (a fold's auxiliary states by 5**5), so 16-bit arrays
-    hold them at any packable weight.  Every read checks the weight against
-    the enumeration bound, so a table filled under a higher bound answers as
-    a cold one would; the weights below are under the bound whenever the
-    weight is.
+    distribution is a Counter over zipped columns.  `_fill` packs the weight
+    and fills every column, the first time a check reads it.  A column in
+    FOLDS is folded from the same suffixes of the lower weights' columns,
+    C-level maps with no Python step per partition; the fold visits the
+    weights below from 0 up and fills each with the columns it reads, where
+    they are missing.  So each finds its own lower weights already filled,
+    and the recursion stays two calls deep; packing visits them the same
+    way.  Any other column replays the partitions through its function.
+    Every value is bounded by the weight in absolute value (a fold's
+    auxiliary states by 5**5), so 16-bit arrays hold them at any packable
+    weight.  Every read checks the weight against the enumeration bound, so
+    a table filled under a higher bound answers as a cold one would; the
+    weights below are under the bound whenever the weight is.
     """
 
     def __init__(self, n: int):
@@ -179,45 +169,35 @@ class WeightTable:
                              f"weights up to 255, not {n}")
         if "five-core-crank" in names and n % 5 != 4:
             raise ValueError(f"weight {n} is not 4 (mod 5)")
-        folded = [name for name in names if name in FOLDS and name not in self.filled]
-        if self.packed is None or folded:
-            sources = _fold_sources(folded)
-            lower: list[WeightTable] = []
-            for m in range(n):
-                table = weight_table(m)
-                table._build(lower, sources)
-                lower.append(table)
-            self._build(lower, folded)
-        for name in names:
-            if name not in self.filled:
-                self.filled[name] = array("h", map(_column_function(name), self.partitions()))
-
-    def _build(self, lower: list[WeightTable], names: list[str]) -> None:
-        """Pack the weight and fold the named columns from the tables of
-        the weights below it, which hold the columns the folds read."""
         if self.packed is None:
-            self._pack(lower)
-        n = self.n
+            self._pack()
         for name in names:
             if name in self.filled:
                 continue
-            sources, fold = FOLDS[name]
-            values = [0] * (n == 0)  # every fold is 0 on ()
-            for a in range(n, 0, -1):
-                q = lower[n - a]
-                first = q.firsts[min(a, n - a)]
-                exact = q.firsts[a - 1] - first if a <= n - a else 0
-                values += fold(a, exact, *(q.filled[s][first:] for s in sources))
+            if name not in FOLDS:
+                values = map(stats.STATISTICS.get(name) or COLUMNS[name], self.partitions())
+            else:
+                sources, fold = FOLDS[name]
+                values = [0] * (n == 0)  # every fold is 0 on ()
+                for a in range(n, 0, -1):
+                    q = weight_table(n - a)
+                    if not q.filled.keys() >= set(sources):
+                        q._fill(sources)
+                    first = q.firsts[min(a, n - a)]
+                    exact = q.firsts[a - 1] - first if a <= n - a else 0
+                    values += fold(a, exact, *(q.filled[s][first:] for s in sources))
             self.filled[name] = array("h", values)
 
-    def _pack(self, lower: list[WeightTable]) -> None:
+    def _pack(self) -> None:
         n = self.n
         blocks = []
         self.offsets = [0] * (n + 1)
         self.firsts = [0] * (n + 1)
         offset = first = 0
         for a in range(n, 0, -1):
-            q = lower[n - a]
+            q = weight_table(n - a)
+            if q.packed is None:
+                q._fill(())
             b = min(a, n - a)
             head = bytes((a,))
             blocks.append(head + q.packed[q.offsets[b]:].replace(b"\0", b"\0" + head))
@@ -247,10 +227,6 @@ class WeightTable:
     def joint(self, *names: str) -> Counter:
         """Counts of the value tuples that the named columns take together."""
         return Counter(zip(*self.columns(*names)))
-
-
-def _column_function(name: str) -> Callable[[Partition], int]:
-    return stats.STATISTICS.get(name) or COLUMNS[name]
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,7 @@ from .orbits import orbit_step, quadruple_shift_vector, theta_vector
 from .partitions import (
     Partition,
     add_cell,
+    residue_counts,
     rim_hook_removals,
 )
 from .qseries import (
@@ -922,8 +923,6 @@ def _chk_strip(params):
 @register("CHK-BGRALT", "BG-rank equals the 2-core charge and the residue gap",
           max_n=25)
 def _chk_bgralt(params):
-    from .partitions import residue_counts
-
     for n in range(params["max_n"] + 1):
         for p in weight_table(n).partitions():
             j = stats.bg_rank(p)

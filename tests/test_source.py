@@ -185,6 +185,18 @@ def test_no_import_cycles():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_at_module_level(path):
+    # test_no_import_cycles reads the module-level imports only, so an
+    # import inside a function would hide its edge from that test
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted({node.lineno for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert lines == [], f"{path.name} imports inside functions on lines {lines}"
+
+
 def test_one_orbit_step():
     # the alpha rotation and the slot permutation are applied in one place,
     # which both orbit maps and CHK-ORBIT go through

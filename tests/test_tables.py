@@ -11,6 +11,7 @@ columns are filled in.
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -116,6 +117,56 @@ def test_folds_are_cold_warm_and_cleared_alike(requests):
             assert tables.WeightTable(n).columns(name)[0] == warm
     finally:
         tables.clear_memo()
+
+
+def fold_closure(name: str) -> set[str]:
+    """Every column that folding `name` reads at some lower weight."""
+    found: set[str] = set()
+    todo = list(tables.FOLDS[name][0])
+    while todo:
+        source = todo.pop()
+        if source not in found:
+            found.add(source)
+            todo += tables.FOLDS[source][0]
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(reads=st.lists(st.tuples(st.integers(0, 25), st.sampled_from(sorted(tables.FOLDS))),
+                      min_size=1, max_size=6))
+def test_folds_fill_only_their_sources_below(reads):
+    # a cold read of a folded column at n fills it at n and the closure of
+    # its sources at every weight below n, nothing more, in any read order
+    tables.clear_memo()
+    expected: dict[int, set[str]] = {}
+    try:
+        for n, name in reads:
+            if not readable(n, name):
+                continue
+            tables.weight_table(n).columns(name)
+            expected.setdefault(n, set()).add(name)
+            for m in range(n):
+                expected.setdefault(m, set()).update(fold_closure(name))
+        for n in range(26):
+            assert set(tables.weight_table(n).filled) == expected.get(n, set()), n
+    finally:
+        tables.clear_memo()
+
+
+def test_a_cold_fold_recurses_a_few_frames_deep(cold):
+    # the weights below are filled from 0 up, so a cold read of weight 40
+    # fits under a recursion limit a few dozen frames above the caller's; a
+    # recursion of one frame per weight would not
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        crank = tables.weight_table(40).columns("ag-crank")[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert list(crank) == oracle_column(40, "ag-crank")
 
 
 def test_a_fold_over_warm_weights_keeps_the_bound(cold, monkeypatch):

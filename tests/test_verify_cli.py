@@ -444,9 +444,9 @@ class TestRegistry:
         calls = Counter()
         pack = tables.WeightTable._pack
 
-        def counting(table, lower):
+        def counting(table):
             calls[table.n] += 1
-            return pack(table, lower)
+            return pack(table)
 
         monkeypatch.setattr(tables.WeightTable, "_pack", counting)
         for order in (list(bounds), list(reversed(bounds))):
@@ -624,6 +624,16 @@ class TestCli:
 
     def test_verify_unknown_check(self, capsys):
         assert main(["verify", "--check", "CHK-NOPE"]) == 2
+
+    @pytest.mark.parametrize("ids", [["CHK-RAM5", "CHK-NOPE"], ["CHK-NOPE", "CHK-RAM5"]],
+                             ids=["known-first", "unknown-first"])
+    def test_verify_unknown_check_runs_nothing(self, ids, capsys):
+        # every id is checked before any check runs, whatever the order
+        argv = ["verify"] + [arg for check_id in ids for arg in ("--check", check_id)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown check id 'CHK-NOPE'\n"
 
     def test_verify_reports_an_error_and_goes_on(self, capsys, monkeypatch):
         tables.clear_memo()
