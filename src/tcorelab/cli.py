@@ -4,8 +4,9 @@ Reports are emitted as one JSON object per line on stdout; human-readable
 summaries go to stderr.  Exit codes: 0 all pass (a found counterexample for
 CHK-AB5JR counts as a pass), 1 any failure, 2 usage error (a bad argument,
 or any ValueError the command raises, printed as one ``error:`` line).
-``verify`` first checks every id it is given, and an unknown one is a usage
-error before any check runs.  Then it runs every check: a check that raises
+``verify`` first checks every id it is given and the parameters of each
+check, and an unknown id or a negative bound is a usage error before any
+check runs.  Then it runs every check: a check that raises
 ValueError reports status "error", prints one ``error:`` line and makes the
 exit code 2.
 """
@@ -159,11 +160,14 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         for check_id in ids:
             if check_id not in verify.REGISTRY:
                 raise ValueError(f"unknown check id {check_id!r}")
+        # each check takes the overrides it has parameters for, and a
+        # negative one fails before any check runs
+        runs = [(check_id, verify.check_params(check_id, **{
+            k: v for k, v in overrides.items() if k in verify.REGISTRY[check_id].defaults}))
+            for check_id in ids]
         code = 0
-        for check_id in ids:
-            accepted = verify.REGISTRY[check_id].defaults
-            applicable = {k: v for k, v in overrides.items() if k in accepted}
-            report = verify.run_check(check_id, **applicable)
+        for check_id, params in runs:
+            report = verify.run_check(check_id, **params)
             print(json.dumps(report.to_json()))
             if report.status == "error":
                 print(f"error: {check_id}: {report.witness['error']}", file=sys.stderr)

@@ -39,9 +39,9 @@ def clear_memo() -> None:
 # per-weight statistic tables and t-core tallies
 
 # Columns beside stats.STATISTICS that are filled by replaying the weight's
-# partitions through a function, like the statistics outside FOLDS.  Those
-# functions are looked up when a column is filled, never bound at import, so
-# wrappers installed around them see each call.
+# partitions through a function, as a statistic taken out of FOLDS would be.
+# Those functions are looked up when a column is filled, never bound at
+# import, so wrappers installed around them see each call.
 COLUMNS: dict[str, Callable[[Partition], int]] = {
     "is-5-core": lambda p: is_t_core(p, 5),
 }
@@ -80,29 +80,99 @@ def _charge_step(a: int, charges: array) -> Iterator[int]:
     return map(_charge_steps()[0][(a - 1) % 5].__getitem__, charges)
 
 
-def _repeated_even_fold(a: int, exact: int, repeated: array) -> Iterable[int]:
+def _repeated_even_fold(a: int, above: Callable[[int], int],
+                        repeated: array) -> Iterable[int]:
     # a + q repeats the even part a exactly when q's largest part is a
+    exact = above(a - 1)
     return chain(repeat(1, exact), repeated[exact:]) if a % 2 == 0 else repeated
 
 
-def _ag_crank_fold(a: int, _: int, crank: array, ones: array) -> Iterator[int]:
-    # Without ones (a >= 2) the crank is the largest part, a.  Otherwise a
-    # keeps q's ones and joins the parts larger than their number when it
-    # exceeds it.  For a = 1, q is 1^m with crank -m, and a + q has -(m + 1).
-    # The last q, 1^m, has the most ones.
-    most = ones[-1]
+def _odd_top_fold(a: int, above: Callable[[int], int], odd: array) -> Iterable[int]:
+    # the multiplicity of a in a + q is one more than in q when q's largest
+    # part is a, and 1 otherwise
+    exact = above(a - 1)
+    return chain(map((1).__xor__, odd[:exact]), repeat(1, len(odd) - exact))
+
+
+def _ag_crank_step(a: int, crank: array, ones: array) -> Iterator[int]:
+    # The AG crank of a + q, for a part a at least q's largest.  Without
+    # ones (a >= 2) the crank is the largest part, a.  Otherwise a keeps q's
+    # ones and joins the parts larger than their number when it exceeds it.
+    # For a = 1, q is 1^m with crank -m, and a + q has -(m + 1).
+    most = max(ones, default=0)
     bump = [a] + [1] * (a - 1) + [0] * (most - a + 1) if a > 1 else [-1] * (most + 1)
     return map(operator.add, map(operator.mul, crank, map(bool, ones)),
                map(bump.__getitem__, ones))
 
 
+def _two_quotient_step(a: int, parts0: array, parts1: array,
+                       bg: array) -> tuple[Iterable[int], Iterable[int]]:
+    """The part counts of the 2-quotient components of a + q, colours 0 and 1.
+
+    With beads b_x = lambda_x - x, the component of colour i has max(0,
+    floor(b/2) + 1 - c_i) parts for the top bead b of parity i, and 0 without
+    one (see stats.two_quotient_rank); the charge c_0 is the BG-rank and c_1
+    = -c_0.  Prepending a lays the bead a - 1 on top and moves q's beads down
+    one, so q's colours swap and keep their part counts, and the colour of
+    a - 1 has (a - 1)//2 + bg(q) parts for odd a, a//2 - bg(q) for even a,
+    clipped at 0.
+    """
+    fresh = map(max, map((a >> 1).__add__ if a & 1 else (a >> 1).__sub__, bg), repeat(0))
+    return (fresh, parts0) if a & 1 else (parts1, fresh)
+
+
+def _extraction_step(a: int, above: Callable[[int], int], crank: array, ones: array,
+                     odd_top: array) -> tuple[Iterable[int], Iterable[int]]:
+    """The AG crank and the ones of the even-pair extraction of a + q.
+
+    The extraction (stats.bijection1) halves each pair of equal even parts.
+    a + q completes a new pair, and so gains the half a/2 on top, exactly
+    when a is even, q's largest part is a and its multiplicity in q is odd
+    (odd_top); otherwise its extraction is q's.
+    """
+    exact = above(a - 1)
+    if a & 1 or not exact:
+        return crank, ones
+    gain = odd_top[:exact]
+    stepped = _ag_crank_step(a >> 1, crank[:exact], ones[:exact])
+    crank = chain(map(operator.getitem, zip(crank[:exact], stepped), gain), crank[exact:])
+    if a == 2:
+        ones = chain(map(operator.add, ones[:exact], gain), ones[exact:])
+    return crank, ones
+
+
+def _st_crank_fold(a: int, above: Callable[[int], int], odd: array, codd: array,
+                   ones: array, ext_crank: array, ext_ones: array,
+                   odd_top: array) -> Iterable[int]:
+    # srank/2, plus the extraction's crank, plus the type-B bit where the
+    # extraction is empty.  stats.st_crank sets the bit on (3, 1) and on
+    # each p with two ones or more whose largest part exceeds the next by 3
+    # or more, or by 2 when odd.  So for a >= 3, q holds two ones or more
+    # (one when a = 3, for (3, 1)), and q's largest part is at most a - 3
+    # (a - 2 for odd a): the q from above(that) on.  Those keep q's
+    # extraction, which is empty exactly when it has no ones and crank 0 (a
+    # nonempty one without ones has its largest part as crank).
+    half = map((2).__rfloordiv__, map(((a & 1) - a).__add__, map(operator.add, odd, codd)))
+    values = map(operator.add, half, _extraction_step(a, above, ext_crank, ext_ones, odd_top)[0])
+    if a < 3:
+        return values
+    start = above(a - 3 + (a & 1))
+    empty = map(operator.not_, map(operator.or_, ext_crank[start:], ext_ones[start:]))
+    bit = map(operator.mul, empty, map((1 + (a > 3)).__le__, ones[start:]))
+    return map(operator.add, values, chain(repeat(0, start), bit))
+
+
+_TWO_QUOTIENT = ("two-quotient-parts-0", "two-quotient-parts-1", "bg-rank")
+_EXTRACTION = ("extraction-ag-crank", "extraction-one-parts", "largest-part-odd-multiplicity")
+
 # Columns folded from the lower weights: name -> (the columns of q that it
 # reads, fold).  The partitions of n with largest part a are a + q for the q
 # of weight n - a with largest part <= a, a suffix of that weight's table.
-# fold(a, exact, *slices) gives the column over those a + q from the read
-# columns over that suffix, whose first `exact` q have largest part a.  Each
-# fold agrees with its stats kernel or its definition on every partition;
-# the tests hold them to that.
+# fold(a, above, *slices) gives the column over those a + q from the read
+# columns over that suffix; above(b) is the number of q at the head of the
+# suffix whose largest part exceeds b >= 0, so the first above(a - 1) have
+# largest part a.  Each fold agrees with its stats kernel or its definition
+# on every partition; the tests hold them to that.
 FOLDS: dict[str, tuple[tuple[str, ...], Callable[..., Iterable[int]]]] = {
     "part-count": (("part-count",), lambda a, _, length: map((1).__add__, length)),
     "odd-parts": (("odd-parts",), lambda a, _, odd: map((a & 1).__add__, odd)),
@@ -116,11 +186,20 @@ FOLDS: dict[str, tuple[tuple[str, ...], Callable[..., Iterable[int]]]] = {
     "dyson-rank": (("part-count",), lambda a, _, length: map((a - 1).__sub__, length)),
     "has-repeated-even-part": (("has-repeated-even-part",), _repeated_even_fold),
     "one-parts": (("one-parts",), lambda a, _, ones: map(int(a == 1).__add__, ones)),
-    "ag-crank": (("ag-crank", "one-parts"), _ag_crank_fold),
+    "ag-crank": (("ag-crank", "one-parts"),
+                 lambda a, _, crank, ones: _ag_crank_step(a, crank, ones)),
     "five-core-charges": (("five-core-charges",),
                           lambda a, _, charges: _charge_step(a, charges)),
     "five-core-crank": (("five-core-charges",), lambda a, _, charges: map(
         _charge_steps()[1].__getitem__, _charge_step(a, charges))),
+    "two-quotient-parts-0": (_TWO_QUOTIENT, lambda a, _, *q: _two_quotient_step(a, *q)[0]),
+    "two-quotient-parts-1": (_TWO_QUOTIENT, lambda a, _, *q: _two_quotient_step(a, *q)[1]),
+    "two-quotient-rank": (_TWO_QUOTIENT, lambda a, _, *q: map(
+        operator.sub, *_two_quotient_step(a, *q))),
+    "largest-part-odd-multiplicity": (("largest-part-odd-multiplicity",), _odd_top_fold),
+    "extraction-ag-crank": (_EXTRACTION, lambda a, above, *q: _extraction_step(a, above, *q)[0]),
+    "extraction-one-parts": (_EXTRACTION, lambda a, above, *q: _extraction_step(a, above, *q)[1]),
+    "st-crank": (("odd-parts", "conjugate-odd-parts", "one-parts", *_EXTRACTION), _st_crank_fold),
 }
 
 
@@ -146,9 +225,13 @@ class WeightTable:
     they are missing.  So each finds its own lower weights already filled,
     and the recursion stays two calls deep; packing visits them the same
     way.  Any other column replays the partitions through its function.
-    Every value is bounded by the weight in absolute value (a fold's
-    auxiliary states by 5**5), so 16-bit arrays hold them at any packable
-    weight.  Every read checks the weight against the enumeration bound, so
+    Every statistic is bounded by the weight n in absolute value, and so is
+    every auxiliary column of a fold but the 5-core charges, whose states
+    stay below 5**5: a part count or odd-part count is at most n, a
+    2-quotient component has at most n/2 parts, the even-pair extraction
+    weighs at most n/4, which bounds its crank and its ones, and a parity
+    is 0 or 1.  So 16-bit arrays hold every column at any packable weight.
+    Every read checks the weight against the enumeration bound, so
     a table filled under a higher bound answers as a cold one would; the
     weights below are under the bound whenever the weight is.
     """
@@ -184,8 +267,8 @@ class WeightTable:
                     if not q.filled.keys() >= set(sources):
                         q._fill(sources)
                     first = q.firsts[min(a, n - a)]
-                    exact = q.firsts[a - 1] - first if a <= n - a else 0
-                    values += fold(a, exact, *(q.filled[s][first:] for s in sources))
+                    values += fold(a, lambda b: q.firsts[min(b, n - a)] - first,
+                                   *(q.filled[s][first:] for s in sources))
             self.filled[name] = array("h", values)
 
     def _pack(self) -> None:

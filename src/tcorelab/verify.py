@@ -135,10 +135,10 @@ def register(check_id: str, summary: str, **defaults):
     return wrap
 
 
-def run_check(check_id: str, **overrides) -> CheckReport:
-    """Run one check.  A negative parameter raises ValueError before the
-    check runs; a ValueError raised inside the check becomes an "error"
-    report."""
+def check_params(check_id: str, **overrides) -> dict:
+    """The parameters a check runs with: its defaults, with the overrides
+    that are not None.  An unknown id or parameter, or a negative value,
+    raises ValueError."""
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     definition = REGISTRY[check_id]
@@ -154,6 +154,15 @@ def run_check(check_id: str, **overrides) -> CheckReport:
     for key, value in params.items():
         if value < 0:
             raise ValueError(f"check {check_id} needs {key} >= 0, got {value}")
+    return params
+
+
+def run_check(check_id: str, **overrides) -> CheckReport:
+    """Run one check.  Bad parameters raise ValueError (`check_params`)
+    before the check runs; a ValueError raised inside the check becomes an
+    "error" report."""
+    params = check_params(check_id, **overrides)
+    definition = REGISTRY[check_id]
     start = time.perf_counter()
     try:
         status, witness = definition.func(params)

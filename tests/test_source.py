@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from tcorelab import stats, tables
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "tcorelab").glob("*.py"))
 
 
@@ -70,6 +72,12 @@ def test_stdlib_only(path):
         outside += [f"{name}:{node.lineno}" for name in names
                     if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == [], f"{path.name} imports non-stdlib modules: {outside}"
+
+
+def test_every_statistic_column_is_folded():
+    # a statistic outside tables.FOLDS would quietly replay every partition
+    # of each weight through its kernel
+    assert set(stats.STATISTICS) <= set(tables.FOLDS)
 
 
 def test_only_the_weight_table_enumerates():

@@ -1,12 +1,12 @@
 """Weight tables against the enumeration, and table rendering against the
 golden transcriptions.
 
-A weight table packs its partitions and folds most of its columns from the
-lower weights' tables.  `enumerate_partitions` and the statistic kernels
-stay the oracles: the packed bytes and the suffix starts are held to the
-enumeration at every weight up to 30, and every folded column to its kernel
-or definition over the replayed partitions, whatever order the weights and
-columns are filled in.
+A weight table packs its partitions and folds its statistic columns from
+the lower weights' tables.  `enumerate_partitions` and the statistic kernels
+or slower definitions stay the oracles: the packed bytes and the suffix
+starts are held to the enumeration at every weight up to 30, and every
+folded column to its kernel or definition over the replayed partitions,
+whatever order the weights and columns are filled in.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcorelab import stats, tables
-from tcorelab.cores import _charges_and_bead_parts
+from tcorelab.cores import _charges_and_bead_parts, phi1
 from tcorelab.partitions import BoundExceededError, Partition, enumerate_partitions
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +40,16 @@ FOLD_ORACLES = {
     "five-core-charges": lambda p: sum(
         c % 5 * 5 ** i for i, c in enumerate(_charges_and_bead_parts(p, 5)[0])),
     "five-core-crank": stats.five_core_crank,
+    # the component lengths of phi1(p, 2)
+    "two-quotient-parts-0": lambda p: len(phi1(p, 2).quotient[0]),
+    "two-quotient-parts-1": lambda p: len(phi1(p, 2).quotient[1]),
+    "two-quotient-rank": lambda p: len(phi1(p, 2).quotient[0]) - len(phi1(p, 2).quotient[1]),
+    # the even-pair extraction bijection1(p)[0], and the type-B test
+    "largest-part-odd-multiplicity": lambda p: p.count(p.largest) % 2,
+    "extraction-ag-crank": lambda p: stats.ag_crank(stats.bijection1(p)[0]),
+    "extraction-one-parts": lambda p: stats.bijection1(p)[0].count(1),
+    "st-crank": lambda p: (stats.ag_crank(stats.bijection1(p)[0]) + stats.is_type_b(p)
+                           + (p.odd_part_count() - p.conjugate().odd_part_count()) // 2),
 }
 
 

@@ -622,6 +622,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: check {message}\n"
 
+    @pytest.mark.parametrize("ids", [["CHK-RSGF", "CHK-STRIP"], ["CHK-STRIP", "CHK-RSGF"]],
+                             ids=["bounded-last", "bounded-first"])
+    def test_negative_bound_runs_nothing(self, ids, capsys):
+        # CHK-RSGF takes no max_n; CHK-STRIP's bound fails before either runs
+        argv = ["verify"] + [arg for check_id in ids for arg in ("--check", check_id)]
+        assert main(argv + ["--max-n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: check CHK-STRIP needs max_n >= 0, got -1\n"
+
     def test_verify_unknown_check(self, capsys):
         assert main(["verify", "--check", "CHK-NOPE"]) == 2
 
