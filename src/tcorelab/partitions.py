@@ -195,25 +195,25 @@ def beta_contents(p: Partition) -> list[int]:
     return [part - row for row, part in enumerate(p, start=1)]
 
 
-def check_enumeration_bound(n: int, max_n: int | None = None) -> None:
+def check_enumeration_bound(n: int) -> None:
     """Raise unless the partitions of n may be enumerated: ValueError for a
     negative n, BoundExceededError above the bound (see TCORELAB_MAX_N)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bound = max_enumeration_n() if max_n is None else max_n
+    bound = max_enumeration_n()
     if n > bound:
         raise BoundExceededError(
             f"enumeration of partitions of {n} exceeds the bound {bound}"
         )
 
 
-def enumerate_partitions(n: int, *, max_n: int | None = None) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, reverse lexicographically.
 
     The first value is (n), the last (1^n).  Raises BoundExceededError when n
     exceeds the configured bound (see TCORELAB_MAX_N).
     """
-    check_enumeration_bound(n, max_n)
+    check_enumeration_bound(n)
     if n == 0:
         yield Partition()
         return

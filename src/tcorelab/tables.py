@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 from . import stats
 from .cores import iter_core_vectors, phi1, phi2_inv
 from .orbits import orbit
-from .partitions import Partition, check_enumeration_bound, is_t_core
+from .partitions import Partition, check_enumeration_bound
 
 
 def clear_memo() -> None:
@@ -32,52 +32,38 @@ def clear_memo() -> None:
     scratch."""
     weight_table.cache_clear()
     _core_tally.cache_clear()
-    _charge_steps.cache_clear()
 
 
 # ---------------------------------------------------------------------------
 # per-weight statistic tables and t-core tallies
 
-# Columns beside stats.STATISTICS that are filled by replaying the weight's
-# partitions through a function, as a statistic taken out of FOLDS would be.
-# Those functions are looked up when a column is filled, never bound at
-# import, so wrappers installed around them see each call.
-COLUMNS: dict[str, Callable[[Partition], int]] = {
-    "is-5-core": lambda p: is_t_core(p, 5),
-}
 
+def _charge_fold(a: int, i: int, charges: tuple[array, ...]) -> Iterator[int]:
+    """Charge i of the 5-core's n-vector of a + q, from q's charges.
 
-@lru_cache(maxsize=None)
-def _charge_steps() -> tuple[list[list[int]], list[int]]:
-    """The 5-core crank as a walk over the charges mod 5.
-
-    For a partition with nu parts, stats.five_core_crank reads the charges
-    c_i = f_i(nu) + #{x : lambda_x - x = i (mod 5)}, with f_i(nu) =
-    floor((-nu-1-i)/5) + 1; the empty partition has c = 0.  Prepending a
-    part a to q lays a bead at a - 1 and moves each bead of q down one
-    place, so q's beads of residue i + 1 count for residue i, and those of
-    residue 0 for residue 4.  The part count grows by one, and f_i(nu + 1)
-    = f_{i+1}(nu) for i < 4 while f_4(nu + 1) = f_0(nu) - 1.  So a + q has
-    the charges (c1, c2, c3, c4, c0 - 1) of q, plus one at residue
-    (a - 1) mod 5.  The crank 1 + c0 + c1 + 3c3 mod 5 reads the charges mod
-    5 only, so a state s in 0..5**5 - 1 with c_i mod 5 as base-5 digit i
-    carries it from weight to weight.  The crank is read at weights 4
-    (mod 5), where stats.five_core_crank is defined.
-
-    Returns steps[r][s], the state of a + q for a part a = r + 1 (mod 5)
-    and a q in state s, and crank[s].
+    With nu parts, c_i = f_i(nu) + #{x : lambda_x - x = i (mod 5)} and f_i(nu)
+    = floor((-nu-1-i)/5) + 1 (stats.five_core_crank); () has c = 0.  Prepending
+    a lays a bead at a - 1 and moves q's beads down one place, so q's residue
+    i + 1 counts for i, and 0 for 4; and f_i(nu + 1) = f_{i+1}(nu) for i < 4,
+    f_4(nu + 1) = f_0(nu) - 1.  So a + q has the charges (c1, c2, c3, c4,
+    c0 - 1) of q, plus one at residue (a - 1) mod 5.
     """
-    shift = [s // 5 + 625 * ((s - 1) % 5) for s in range(3125)]
-    steps = []
-    for r in range(5):
-        unit = 5 ** r
-        steps.append([s - 4 * unit if s // unit % 5 == 4 else s + unit for s in shift])
-    crank = [(1 + s + s // 5 + 3 * (s // 125)) % 5 for s in range(3125)]
-    return steps, crank
+    return map(((i == (a - 1) % 5) - (i == 4)).__add__, charges[(i + 1) % 5])
 
 
-def _charge_step(a: int, charges: array) -> Iterator[int]:
-    return map(_charge_steps()[0][(a - 1) % 5].__getitem__, charges)
+def _five_core_crank_fold(a: int, _, *charges: array) -> Iterator[int]:
+    # 1 + c0 + c1 + 3c3 mod 5 over the charges of a + q (stats.five_core_crank)
+    terms = (_charge_fold(a, i, charges) for i in (0, 1, 3, 3, 3))
+    return map((5).__rmod__, map(sum, zip(repeat(1), *terms)))
+
+
+def _quotient_weight_fold(a: int, _, weight: array, *charges: array) -> Iterator[int]:
+    # |p| = |core| + 5|quotient|, and a 5-core with n-vector c weighs
+    # 5|c|^2/2 + sum(i c_i); so with r = (a - 1) mod 5, the core of a + q
+    # weighs q's core plus 1 + r + 5(c_r - 1) for its charge c_r, and its
+    # quotient gains (a + 4)//5 - c_r
+    stepped = _charge_fold(a, (a - 1) % 5, charges)
+    return map(operator.sub, map(((a + 4) // 5).__add__, weight), stepped)
 
 
 def _repeated_even_fold(a: int, above: Callable[[int], int],
@@ -162,6 +148,9 @@ def _st_crank_fold(a: int, above: Callable[[int], int], odd: array, codd: array,
     return map(operator.add, values, chain(repeat(0, start), bit))
 
 
+# Every charge fold lists all five charges, so a read fills the same
+# columns at each weight below it, however deep the recursion goes.
+_CHARGES = tuple(f"five-core-charge-{i}" for i in range(5))
 _TWO_QUOTIENT = ("two-quotient-parts-0", "two-quotient-parts-1", "bg-rank")
 _EXTRACTION = ("extraction-ag-crank", "extraction-one-parts", "largest-part-odd-multiplicity")
 
@@ -188,10 +177,10 @@ FOLDS: dict[str, tuple[tuple[str, ...], Callable[..., Iterable[int]]]] = {
     "one-parts": (("one-parts",), lambda a, _, ones: map(int(a == 1).__add__, ones)),
     "ag-crank": (("ag-crank", "one-parts"),
                  lambda a, _, crank, ones: _ag_crank_step(a, crank, ones)),
-    "five-core-charges": (("five-core-charges",),
-                          lambda a, _, charges: _charge_step(a, charges)),
-    "five-core-crank": (("five-core-charges",), lambda a, _, charges: map(
-        _charge_steps()[1].__getitem__, _charge_step(a, charges))),
+    **{charge: (_CHARGES, lambda a, _, *charges, i=i: _charge_fold(a, i, charges))
+       for i, charge in enumerate(_CHARGES)},
+    "five-core-crank": (_CHARGES, _five_core_crank_fold),
+    "five-quotient-weight": (("five-quotient-weight", *_CHARGES), _quotient_weight_fold),
     "two-quotient-parts-0": (_TWO_QUOTIENT, lambda a, _, *q: _two_quotient_step(a, *q)[0]),
     "two-quotient-parts-1": (_TWO_QUOTIENT, lambda a, _, *q: _two_quotient_step(a, *q)[1]),
     "two-quotient-rank": (_TWO_QUOTIENT, lambda a, _, *q: map(
@@ -218,19 +207,20 @@ class WeightTable:
 
     Entry k of every column belongs to the k-th partition, so a joint
     distribution is a Counter over zipped columns.  `_fill` packs the weight
-    and fills every column, the first time a check reads it.  A column in
-    FOLDS is folded from the same suffixes of the lower weights' columns,
-    C-level maps with no Python step per partition; the fold visits the
-    weights below from 0 up and fills each with the columns it reads, where
-    they are missing.  So each finds its own lower weights already filled,
-    and the recursion stays two calls deep; packing visits them the same
-    way.  Any other column replays the partitions through its function.
-    Every statistic is bounded by the weight n in absolute value, and so is
-    every auxiliary column of a fold but the 5-core charges, whose states
-    stay below 5**5: a part count or odd-part count is at most n, a
-    2-quotient component has at most n/2 parts, the even-pair extraction
-    weighs at most n/4, which bounds its crank and its ones, and a parity
-    is 0 or 1.  So 16-bit arrays hold every column at any packable weight.
+    and fills every column, the first time a check reads it.  Every column
+    is in FOLDS, folded from the same suffixes of the lower weights'
+    columns, C-level maps with no Python step per partition; the fold visits
+    the weights below from 0 up and fills each with the columns it reads,
+    where they are missing.  So each finds its own lower weights already
+    filled, and the recursion stays two calls deep; packing visits them the
+    same way.  Every statistic is bounded by the weight n in absolute value,
+    and so is every auxiliary column of a fold: a part count or odd-part
+    count is at most n, a 2-quotient component has at most n/2 parts, the
+    even-pair extraction weighs at most n/4, which bounds its crank and its
+    ones, a parity is 0 or 1, the 5-quotient weighs at most n/5, and each
+    5-core charge has 5c^2/2 - 2|c| <= n, one term of the core's weight
+    (the sum of 5c_j^2/2 + (j - 2)c_j >= 0).  So 16-bit arrays hold every
+    column at any packable weight.
     Every read checks the weight against the enumeration bound, so
     a table filled under a higher bound answers as a cold one would; the
     weights below are under the bound whenever the weight is.
@@ -257,18 +247,15 @@ class WeightTable:
         for name in names:
             if name in self.filled:
                 continue
-            if name not in FOLDS:
-                values = map(stats.STATISTICS.get(name) or COLUMNS[name], self.partitions())
-            else:
-                sources, fold = FOLDS[name]
-                values = [0] * (n == 0)  # every fold is 0 on ()
-                for a in range(n, 0, -1):
-                    q = weight_table(n - a)
-                    if not q.filled.keys() >= set(sources):
-                        q._fill(sources)
-                    first = q.firsts[min(a, n - a)]
-                    values += fold(a, lambda b: q.firsts[min(b, n - a)] - first,
-                                   *(q.filled[s][first:] for s in sources))
+            sources, fold = FOLDS[name]
+            values = [0] * (n == 0)  # every fold is 0 on ()
+            for a in range(n, 0, -1):
+                q = weight_table(n - a)
+                if not q.filled.keys() >= set(sources):
+                    q._fill(sources)
+                first = q.firsts[min(a, n - a)]
+                values += fold(a, lambda b: q.firsts[min(b, n - a)] - first,
+                               *(q.filled[s][first:] for s in sources))
             self.filled[name] = array("h", values)
 
     def _pack(self) -> None:
@@ -322,7 +309,7 @@ def weight_table(n: int) -> WeightTable:
 FILTERS: dict[str, tuple[str, Callable[[int], bool]]] = {
     "srank-0-mod-4": ("srank", lambda s: s % 4 == 0),
     "srank-2-mod-4": ("srank", lambda s: s % 4 == 2),
-    "is-5-core": ("is-5-core", bool),
+    "is-5-core": ("five-quotient-weight", operator.not_),
     "no-repeated-even-parts": ("has-repeated-even-part", operator.not_),
 }
 
@@ -366,7 +353,8 @@ def _charge_residues(t: int, walk: Iterator) -> Iterator:
 # Columns of the t-core tallies.  Each entry maps t and a stream of
 # (n-vector, weight) pairs to the stream of its values, so a fill runs in
 # C-level iterators where it can.  Entries are looked up when a tally is
-# filled, and the statistics when an entry runs, like COLUMNS.
+# filled, and the statistics when an entry runs, so wrappers installed
+# around them see each call.
 CORE_COLUMNS: dict[str, Callable[[int, Iterator], Iterator]] = {
     "srank-mod-4": lambda t, walk: map(partial(stats.core_srank_mod4, t), _vectors(walk)),
     "five-core-crank": lambda t, walk: starmap(_five_core_crank_at, walk),

@@ -1009,11 +1009,18 @@ def _chk_cor5(params):
 
 def _scan_bg_counterexample(max_weight: int):
     """The first (weight, BG-rank) class of 5-cores, weight 5n+r with r < 4,
-    whose size is not divisible by 5."""
-    for (w, j), c in sorted(core_tally(5, max_weight, "bg-rank").items()):
-        if w <= max_weight and w % 5 != 4 and c % 5:
-            return {"n": w // 5, "r": w % 5, "j": j, "weight": w, "count": c}
-    return None
+    whose size is not divisible by 5.  The tallies run to bounds that double
+    up to max_weight; the first that holds one stops the scan, since every
+    larger tally holds the same weights below its bound."""
+    bound = 4
+    while True:
+        bound = min(bound, max_weight)
+        for (w, j), c in sorted(core_tally(5, bound, "bg-rank").items()):
+            if w <= bound and w % 5 != 4 and c % 5:
+                return {"n": w // 5, "r": w % 5, "j": j, "weight": w, "count": c}
+        if bound == max_weight:
+            return None
+        bound *= 2
 
 
 @register("CHK-AB5JR", "5-core BG-rank classes on 5n+r, r<4: congruence fails",

@@ -150,10 +150,11 @@ class TestEnumeration:
         for n in range(41):
             assert sum(1 for _ in enumerate_partitions(n)) == pentagonal_p(n)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
         with pytest.raises(BoundExceededError):
             next(enumerate_partitions(61))
-        assert sum(1 for _ in enumerate_partitions(61, max_n=61)) == pentagonal_p(61)
+        monkeypatch.setenv("TCORELAB_MAX_N", "61")
+        assert sum(1 for _ in enumerate_partitions(61)) == pentagonal_p(61)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("TCORELAB_MAX_N", "10")

@@ -80,6 +80,13 @@ def test_every_statistic_column_is_folded():
     assert set(stats.STATISTICS) <= set(tables.FOLDS)
 
 
+def test_every_filter_column_is_folded():
+    # the weight table fills folds only, so a filter reads a folded column,
+    # and tables.py keeps no table of columns replayed through a function
+    assert {column for column, _ in tables.FILTERS.values()} <= set(tables.FOLDS)
+    assert not hasattr(tables, "COLUMNS")
+
+
 def test_only_the_weight_table_enumerates():
     # the weight tables are the one route to a weight's partitions, and they
     # enumerate nothing: each WeightTable packs its weight from the lower

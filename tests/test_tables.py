@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcorelab import stats, tables
-from tcorelab.cores import _charges_and_bead_parts, phi1
+from tcorelab.cores import phi1, phi2
 from tcorelab.partitions import BoundExceededError, Partition, enumerate_partitions
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,10 +36,10 @@ FOLD_ORACLES = {
     "has-repeated-even-part": stats.has_repeated_even_part,
     "one-parts": lambda p: p.count(1),
     "ag-crank": stats.ag_crank,
-    # the charges of the bead split mod 5, charge i as digit i in base 5
-    "five-core-charges": lambda p: sum(
-        c % 5 * 5 ** i for i, c in enumerate(_charges_and_bead_parts(p, 5)[0])),
+    # the n-vector of the 5-core, and the weight of the 5-quotient
+    **{f"five-core-charge-{i}": lambda p, i=i: phi2(phi1(p, 5).core, 5)[i] for i in range(5)},
     "five-core-crank": stats.five_core_crank,
+    "five-quotient-weight": lambda p: phi1(p, 5).quotient_weight(),
     # the component lengths of phi1(p, 2)
     "two-quotient-parts-0": lambda p: len(phi1(p, 2).quotient[0]),
     "two-quotient-parts-1": lambda p: len(phi1(p, 2).quotient[1]),
@@ -70,7 +70,6 @@ def cold():
 
 def test_every_fold_has_an_oracle():
     assert set(FOLD_ORACLES) == set(tables.FOLDS)
-    assert not set(tables.FOLDS) & set(tables.COLUMNS)
 
 
 def test_packing_matches_the_enumeration(cold):
@@ -91,6 +90,15 @@ def test_five_core_crank_fold_at_every_weight_4_mod_5(cold):
         table = tables.weight_table(n)
         expected = list(map(stats.five_core_crank, table.partitions()))
         assert list(table.columns("five-core-crank")[0]) == expected, n
+
+
+def test_five_core_columns_match_the_decomposition(cold):
+    # the 5-core's n-vector and the 5-quotient weight, one phi1 per partition
+    names = [*(f"five-core-charge-{i}" for i in range(5)), "five-quotient-weight"]
+    for n in range(31):
+        expected = [(*phi2(cq.core, 5), cq.quotient_weight())
+                    for cq in (phi1(p, 5) for p in enumerate_partitions(n))]
+        assert list(zip(*tables.weight_table(n).columns(*names))) == expected, n
 
 
 def test_five_core_crank_needs_weight_4_mod_5(cold):

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -178,7 +179,7 @@ class TestClassCounts:
 
 
 # Every column a weight table can hold.
-TABLE_COLUMNS = sorted({*stats.STATISTICS, *tables.COLUMNS, *tables.FOLDS})
+TABLE_COLUMNS = sorted({*stats.STATISTICS, *tables.FOLDS})
 
 
 class TestWeightTable:
@@ -347,6 +348,26 @@ class TestRegistry:
         # pinned regression value from the scan: the lone 5-core of weight 0
         assert report.witness == {"n": 0, "r": 0, "j": 0, "weight": 0, "count": 1}
 
+    def test_search_doubles_its_bound(self, monkeypatch):
+        # the scan tallies to 4, 8, 16, ... and stops at the first tally that
+        # holds a class off 0 (mod 5) on a weight 5n+r, r < 4: the smallest,
+        # as one scan to the full bound finds it
+        classes = Counter({(w, 0): 5 for w in range(40)})
+        classes.update({(9, 1): 1, (11, 2): 3, (11, 1): 4, (30, 0): 1})
+        bounds = []
+
+        def tally(t, limit, *names):
+            bounds.append(limit)
+            return Counter({k: c for k, c in classes.items() if k[0] <= limit + 4})
+
+        monkeypatch.setattr(verify, "core_tally", tally)
+        witness = {"n": 2, "r": 1, "j": 1, "weight": 11, "count": 4}
+        assert verify._scan_bg_counterexample(100000) == witness
+        assert bounds == [4, 8, 16]
+        bounds.clear()
+        assert verify._scan_bg_counterexample(10) is None
+        assert bounds == [4, 8, 10]
+
     def test_search_empty_bounds_fails_to_find(self):
         report = verify._scan_bg_counterexample(-1)
         assert report is None
@@ -369,8 +390,8 @@ class TestRegistry:
             "CHK-FJ": {"order": 14, "xi_order": 30},
             # the t-core tally readers: 5CORE, REFINE and A50 share one
             # 5-core tally to weight 104 that A50 reads only to 100, and
-            # AB5JR and AB5J4 one BG-rank tally to 24 that AB5JR reads only
-            # to 21; whichever runs first fills it
+            # whichever runs first fills it; AB5JR stops at its first
+            # BG-rank tally, to 4, and AB5J4 reads one to 24
             "CHK-5CORE": {"order": 10, "psift_order": 10, "rel_n": 10},
             "CHK-A50": {"max_arg": 100, "form4_n": 20, "map_n": 10},
             "CHK-REFINE": {"refine_n": 20, "theta_n": 20, "invar_n": 10},
@@ -511,12 +532,14 @@ class TestRegistry:
     def test_fault_injected_witnesses(self, statistic, monkeypatch):
         # reports with one statistic replaced by a constant, recorded before
         # the checks raised their witnesses instead of returning them; a
-        # folded column calls no kernel, so its fold is taken out and the
-        # table replays the replaced statistic
+        # folded column calls no kernel, so the column is filled with the
+        # constant at every weight the checks read
         expected = json.loads((GOLDEN / "fault_witnesses.json").read_text())[statistic]
         tables.clear_memo()
         monkeypatch.setitem(stats.STATISTICS, statistic, lambda p: 2)
-        monkeypatch.delitem(tables.FOLDS, statistic, raising=False)
+        for n in range(18):
+            table = tables.weight_table(n)
+            table.filled[statistic] = array("h", [2] * table.total())
         try:
             reports = {cid: verify.run_check(cid, **report["params"]).to_json()
                        for cid, report in expected.items()}
