@@ -367,17 +367,6 @@ def phi1_inv(cq: CoreQuotient) -> Partition:
     return _partition_from_colors(t, charges, bead_parts)
 
 
-def quotient_profile(p: Partition, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(n-vector of the t-core, part counts of the quotient components).
-
-    Cheaper than :func:`phi1` when only the charges and part counts matter:
-    the part count of the published component equals the largest part of the
-    raw bead reading, and the charges are exactly the core's n-vector.
-    """
-    charges, bead_parts = _charges_and_bead_parts(p, t)
-    return charges, tuple(bp[0] if bp else 0 for bp in bead_parts)
-
-
 def phi2(core: Partition, t: int) -> tuple[int, ...]:
     """n-vector of a t-core: consecutive residue-count differences."""
     if t < 2:

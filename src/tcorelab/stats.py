@@ -280,10 +280,11 @@ def two_quotient_rank(p: Partition) -> int:
     """Part-count difference of the two components of the 2-quotient.
 
     A component's part count is the largest part of its colour's raw bead
-    reading (see :func:`cores.quotient_profile`), which the colour's first
-    displaced bead and its bead count give: with beads b_x = lambda_x - x and
-    charge c_i = floor((-nu-1-i)/2) + 1 + #{x : b_x = i (mod 2)}, it is
-    max(0, floor(b/2) + 1 - c_i) for the first bead b of parity i.  A run of
+    reading, the conjugate of the component :func:`cores.phi1` publishes.
+    The colour's first displaced bead and its bead count give it: with beads
+    b_x = lambda_x - x and charge c_i = floor((-nu-1-i)/2) + 1 + #{x : b_x =
+    i (mod 2)}, it is max(0, floor(b/2) + 1 - c_i) for the first bead b of
+    parity i.  A run of
     equal parts has consecutive beads, so its counts and first beads are
     read off its top bead.
     """

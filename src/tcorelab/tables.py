@@ -38,32 +38,57 @@ def clear_memo() -> None:
 # per-weight statistic tables and t-core tallies
 
 
-def _charge_fold(a: int, i: int, charges: tuple[array, ...]) -> Iterator[int]:
-    """Charge i of the 5-core's n-vector of a + q, from q's charges.
+def _core_step(t: int, member: str, a: int, _, *sources: array, i: int = 0) -> Iterable[int]:
+    """Charge i, the quotient weight or part count i of a + q for t, from q's
+    charges c_0..c_{t-1} (its t-core's n-vector), then its quotient weight
+    or its components' part counts k_0..k_{t-1}; () has all of them 0.
 
-    With nu parts, c_i = f_i(nu) + #{x : lambda_x - x = i (mod 5)} and f_i(nu)
-    = floor((-nu-1-i)/5) + 1 (stats.five_core_crank); () has c = 0.  Prepending
-    a lays a bead at a - 1 and moves q's beads down one place, so q's residue
-    i + 1 counts for i, and 0 for 4; and f_i(nu + 1) = f_{i+1}(nu) for i < 4,
-    f_4(nu + 1) = f_0(nu) - 1.  So a + q has the charges (c1, c2, c3, c4,
-    c0 - 1) of q, plus one at residue (a - 1) mod 5.
+    Prepending a lays a bead of colour r = (a - 1) mod t at level (a - 1)//t
+    on top and moves q's beads down one place, so q's colour i + 1 becomes
+    colour i, and its colour 0 colour t - 1, a level lower.  So c_i(a + q) =
+    c_{i+1 mod t}(q) + [i = r] - [i = t - 1], and k_i(a + q) = k_{i+1 mod
+    t}(q) for i != r.  Component r has k_r(a + q) = (a - 1)//t + 1 - c_r(a +
+    q) parts, the gaps below the new bead on its runner, never negative; the
+    quotient weight gains as much, by |p| = |core| + t|quotient| and the
+    core's weight t|c|^2/2 + sum(i c_i).
     """
-    return map(((i == (a - 1) % 5) - (i == 4)).__add__, charges[(i + 1) % 5])
+    charges, rest = sources[:t], sources[t:]
+    r = (a - 1) % t
+
+    def charge(j: int) -> Iterator[int]:
+        return map(((j == r) - (j == t - 1)).__add__, charges[(j + 1) % t])
+
+    if member == "charge":
+        return charge(i)
+    fresh = map(((a - 1) // t + 1).__sub__, charge(r))
+    if member == "quotient-weight":
+        return map(operator.add, rest[0], fresh)
+    return fresh if i == r else rest[(i + 1) % t]
+
+
+def _members(kind: str, t: int) -> tuple[str, ...]:
+    return tuple(f"{kind}:{t}:{i}" for i in range(t))
+
+
+def _core_family(t: int) -> dict[str, tuple[tuple[str, ...], Callable[..., Iterable[int]]]]:
+    # Every member lists all t charges, and a part count all t part counts,
+    # so a read fills the same columns at each weight below it, however deep
+    # the recursion goes.
+    charges, parts = _members("charge", t), _members("quotient-parts", t)
+    weight = f"quotient-weight:{t}"
+    return {
+        **{name: (charges, partial(_core_step, t, "charge", i=i))
+           for i, name in enumerate(charges)},
+        weight: ((*charges, weight), partial(_core_step, t, "quotient-weight")),
+        **{name: ((*charges, *parts), partial(_core_step, t, "quotient-parts", i=i))
+           for i, name in enumerate(parts)},
+    }
 
 
 def _five_core_crank_fold(a: int, _, *charges: array) -> Iterator[int]:
     # 1 + c0 + c1 + 3c3 mod 5 over the charges of a + q (stats.five_core_crank)
-    terms = (_charge_fold(a, i, charges) for i in (0, 1, 3, 3, 3))
-    return map((5).__rmod__, map(sum, zip(repeat(1), *terms)))
-
-
-def _quotient_weight_fold(a: int, _, weight: array, *charges: array) -> Iterator[int]:
-    # |p| = |core| + 5|quotient|, and a 5-core with n-vector c weighs
-    # 5|c|^2/2 + sum(i c_i); so with r = (a - 1) mod 5, the core of a + q
-    # weighs q's core plus 1 + r + 5(c_r - 1) for its charge c_r, and its
-    # quotient gains (a + 4)//5 - c_r
-    stepped = _charge_fold(a, (a - 1) % 5, charges)
-    return map(operator.sub, map(((a + 4) // 5).__add__, weight), stepped)
+    c0, c1, c3 = (_core_step(5, "charge", a, _, *charges, i=i) for i in (0, 1, 3))
+    return map((5).__rmod__, map(sum, zip(repeat(1), c0, c1, map((3).__mul__, c3))))
 
 
 def _repeated_even_fold(a: int, above: Callable[[int], int],
@@ -89,22 +114,6 @@ def _ag_crank_step(a: int, crank: array, ones: array) -> Iterator[int]:
     bump = [a] + [1] * (a - 1) + [0] * (most - a + 1) if a > 1 else [-1] * (most + 1)
     return map(operator.add, map(operator.mul, crank, map(bool, ones)),
                map(bump.__getitem__, ones))
-
-
-def _two_quotient_step(a: int, parts0: array, parts1: array,
-                       bg: array) -> tuple[Iterable[int], Iterable[int]]:
-    """The part counts of the 2-quotient components of a + q, colours 0 and 1.
-
-    With beads b_x = lambda_x - x, the component of colour i has max(0,
-    floor(b/2) + 1 - c_i) parts for the top bead b of parity i, and 0 without
-    one (see stats.two_quotient_rank); the charge c_0 is the BG-rank and c_1
-    = -c_0.  Prepending a lays the bead a - 1 on top and moves q's beads down
-    one, so q's colours swap and keep their part counts, and the colour of
-    a - 1 has (a - 1)//2 + bg(q) parts for odd a, a//2 - bg(q) for even a,
-    clipped at 0.
-    """
-    fresh = map(max, map((a >> 1).__add__ if a & 1 else (a >> 1).__sub__, bg), repeat(0))
-    return (fresh, parts0) if a & 1 else (parts1, fresh)
 
 
 def _extraction_step(a: int, above: Callable[[int], int], crank: array, ones: array,
@@ -148,10 +157,6 @@ def _st_crank_fold(a: int, above: Callable[[int], int], odd: array, codd: array,
     return map(operator.add, values, chain(repeat(0, start), bit))
 
 
-# Every charge fold lists all five charges, so a read fills the same
-# columns at each weight below it, however deep the recursion goes.
-_CHARGES = tuple(f"five-core-charge-{i}" for i in range(5))
-_TWO_QUOTIENT = ("two-quotient-parts-0", "two-quotient-parts-1", "bg-rank")
 _EXTRACTION = ("extraction-ag-crank", "extraction-one-parts", "largest-part-odd-multiplicity")
 
 # Columns folded from the lower weights: name -> (the columns of q that it
@@ -171,25 +176,27 @@ FOLDS: dict[str, tuple[tuple[str, ...], Callable[..., Iterable[int]]]] = {
                             lambda a, _, codd: map(a.__sub__, codd)),
     "srank": (("odd-parts", "conjugate-odd-parts"), lambda a, _, odd, codd: map(
         ((a & 1) - a).__add__, map(operator.add, odd, codd))),
-    "bg-rank": (("bg-rank",), lambda a, _, bg: map((a & 1).__sub__, bg)),
     "dyson-rank": (("part-count",), lambda a, _, length: map((a - 1).__sub__, length)),
     "has-repeated-even-part": (("has-repeated-even-part",), _repeated_even_fold),
     "one-parts": (("one-parts",), lambda a, _, ones: map(int(a == 1).__add__, ones)),
     "ag-crank": (("ag-crank", "one-parts"),
                  lambda a, _, crank, ones: _ag_crank_step(a, crank, ones)),
-    **{charge: (_CHARGES, lambda a, _, *charges, i=i: _charge_fold(a, i, charges))
-       for i, charge in enumerate(_CHARGES)},
-    "five-core-crank": (_CHARGES, _five_core_crank_fold),
-    "five-quotient-weight": (("five-quotient-weight", *_CHARGES), _quotient_weight_fold),
-    "two-quotient-parts-0": (_TWO_QUOTIENT, lambda a, _, *q: _two_quotient_step(a, *q)[0]),
-    "two-quotient-parts-1": (_TWO_QUOTIENT, lambda a, _, *q: _two_quotient_step(a, *q)[1]),
-    "two-quotient-rank": (_TWO_QUOTIENT, lambda a, _, *q: map(
-        operator.sub, *_two_quotient_step(a, *q))),
+    # the t-core's n-vector, the t-quotient's weight and its part counts
+    **{name: entry for t in range(2, 12) for name, entry in _core_family(t).items()},
+    "five-core-crank": (_members("charge", 5), _five_core_crank_fold),
+    # the part counts of the 2-quotient's components, 0 less 1
+    "two-quotient-rank": ((*_members("charge", 2), *_members("quotient-parts", 2)),
+                          lambda a, _, *q: map(operator.sub, *(
+                              _core_step(2, "quotient-parts", a, _, *q, i=i) for i in (0, 1)))),
     "largest-part-odd-multiplicity": (("largest-part-odd-multiplicity",), _odd_top_fold),
     "extraction-ag-crank": (_EXTRACTION, lambda a, above, *q: _extraction_step(a, above, *q)[0]),
     "extraction-one-parts": (_EXTRACTION, lambda a, above, *q: _extraction_step(a, above, *q)[1]),
     "st-crank": (("odd-parts", "conjugate-odd-parts", "one-parts", *_EXTRACTION), _st_crank_fold),
 }
+
+# Statistics that are a member of a family: a read of the name reads the
+# member's column, which is folded and stored once.
+ALIASES = {"bg-rank": "charge:2:0"}
 
 
 class WeightTable:
@@ -213,17 +220,19 @@ class WeightTable:
     the weights below from 0 up and fills each with the columns it reads,
     where they are missing.  So each finds its own lower weights already
     filled, and the recursion stays two calls deep; packing visits them the
-    same way.  Every statistic is bounded by the weight n in absolute value,
-    and so is every auxiliary column of a fold: a part count or odd-part
-    count is at most n, a 2-quotient component has at most n/2 parts, the
-    even-pair extraction weighs at most n/4, which bounds its crank and its
-    ones, a parity is 0 or 1, the 5-quotient weighs at most n/5, and each
-    5-core charge has 5c^2/2 - 2|c| <= n, one term of the core's weight
-    (the sum of 5c_j^2/2 + (j - 2)c_j >= 0).  So 16-bit arrays hold every
-    column at any packable weight.
-    Every read checks the weight against the enumeration bound, so
-    a table filled under a higher bound answers as a cold one would; the
+    same way.  Every read checks the weight against the enumeration bound,
+    so a table filled under a higher bound answers as a cold one would; the
     weights below are under the bound whenever the weight is.
+
+    Every statistic is bounded by the weight n in absolute value, and so is
+    every auxiliary column of a fold: a part count or odd-part count is at
+    most n, the t-quotient and each of its components weigh at most n/t,
+    which bounds their part counts, the even-pair extraction weighs at most
+    n/4, which bounds its crank and its ones, a parity is 0 or 1, and each
+    t-core charge c has |c|(t|c| - t + 1)/2 <= n, so |c| <= n: that bounds
+    one term of the core's weight, the sum of t c_j^2/2 + (j - (t - 1)/2)
+    c_j, whose terms are >= 0.  So a table holds weights up to 127, and
+    signed bytes hold every column.
     """
 
     def __init__(self, n: int):
@@ -237,9 +246,8 @@ class WeightTable:
     def _fill(self, names: tuple[str, ...]) -> None:
         n = self.n
         check_enumeration_bound(n)
-        if n > 255:
-            raise ValueError(f"a weight table packs one part per byte, so it holds "
-                             f"weights up to 255, not {n}")
+        if n > 127:
+            raise ValueError(f"a weight table holds weights up to 127, not {n}")
         if "five-core-crank" in names and n % 5 != 4:
             raise ValueError(f"weight {n} is not 4 (mod 5)")
         if self.packed is None:
@@ -256,7 +264,7 @@ class WeightTable:
                 first = q.firsts[min(a, n - a)]
                 values += fold(a, lambda b: q.firsts[min(b, n - a)] - first,
                                *(q.filled[s][first:] for s in sources))
-            self.filled[name] = array("h", values)
+            self.filled[name] = array("b", values)
 
     def _pack(self) -> None:
         n = self.n
@@ -290,7 +298,9 @@ class WeightTable:
         return map(Partition._trusted, self.packed.split(b"\0"))
 
     def columns(self, *names: str) -> tuple[array, ...]:
-        """The named columns, any missing ones filled in one pass."""
+        """The named columns, any missing ones filled in one pass.  A name in
+        ALIASES reads the column it names."""
+        names = tuple(ALIASES.get(name, name) for name in names)
         self._fill(names)
         return tuple(self.filled[name] for name in names)
 
@@ -309,7 +319,7 @@ def weight_table(n: int) -> WeightTable:
 FILTERS: dict[str, tuple[str, Callable[[int], bool]]] = {
     "srank-0-mod-4": ("srank", lambda s: s % 4 == 0),
     "srank-2-mod-4": ("srank", lambda s: s % 4 == 2),
-    "is-5-core": ("five-quotient-weight", operator.not_),
+    "is-5-core": ("quotient-weight:5", operator.not_),
     "no-repeated-even-parts": ("has-repeated-even-part", operator.not_),
 }
 

@@ -569,20 +569,17 @@ def _chk_g3(params):
     )
     expect_same(numerator * legs, crank_shape(order), route="n-vector-sum")
 
-    # direct tally over partitions
+    # direct tally over partitions: the 3-core charges n1, n2 and the part
+    # counts k1, k2 of the 3-quotient components 1 and 2
+    def term(c, n1, n2, k1, k2):
+        shift = 3 * (k1 - k2)
+        return (ring.monomial(c, x=3 * n1 + shift) + ring.monomial(c, x=3 * n2 + 1 + shift)
+                + ring.monomial(c, x=-3 * n2 - 1 + shift))
+
     tally_order = params["tally_order"]
-    tally = Series(ring, tally_order)
-    for n in range(tally_order):
-        acc = ring.zero
-        for p in weight_table(n).partitions():
-            charges, counts = cores.quotient_profile(p, 3)
-            n1, n2 = charges[1], charges[2]
-            shift = 3 * (counts[1] - counts[2])
-            acc = (acc + ring.monomial(x=3 * n1 + shift)
-                   + ring.monomial(x=3 * n2 + 1 + shift)
-                   + ring.monomial(x=-3 * n2 - 1 + shift))
-        tally.coeffs[n] = acc
-    expect_same(tally, crank_shape(tally_order), route="tally")
+    names = ("charge:3:1", "charge:3:2", "quotient-parts:3:1", "quotient-parts:3:2")
+    expect_same(_tally_series(ring, tally_order, names, term), crank_shape(tally_order),
+                route="tally")
 
 
 # ---------------------------------------------------------------------------

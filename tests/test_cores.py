@@ -25,7 +25,6 @@ from tcorelab.cores import (
     phi2_inv,
     q3,
     q_alpha,
-    quotient_profile,
     words,
 )
 from tcorelab.partitions import Partition, enumerate_partitions, strip_to_core
@@ -139,15 +138,6 @@ class TestPhi1:
             _partition_from_colors(2, (0, 0), ((0,), ()))
         with pytest.raises(ValueError, match="bead bookkeeping out of balance"):
             _partition_from_colors(3, (0, 1, -1), ((), (), (2, 0)))
-
-    def test_quotient_part_counts_match(self):
-        for n in range(16):
-            for p in enumerate_partitions(n):
-                for t in (2, 3):
-                    cq = phi1(p, t)
-                    assert quotient_profile(p, t)[1] == tuple(
-                        len(q) for q in cq.quotient
-                    )
 
 
 class TestPhi2:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -76,8 +77,25 @@ def test_stdlib_only(path):
 
 def test_every_statistic_column_is_folded():
     # a statistic outside tables.FOLDS would quietly replay every partition
-    # of each weight through its kernel
-    assert set(stats.STATISTICS) <= set(tables.FOLDS)
+    # of each weight through its kernel; an alias reads a folded column
+    assert {tables.ALIASES.get(name, name) for name in stats.STATISTICS} <= set(tables.FOLDS)
+    assert set(tables.ALIASES) <= set(stats.STATISTICS) - set(tables.FOLDS)
+
+
+def test_one_core_family_for_every_t():
+    # the t-core charges, the t-quotient weight and its part counts are
+    # one family of folds keyed by t, with no fold of its own for one t
+    for name in ("_charge_fold", "_quotient_weight_fold", "_two_quotient_step",
+                 "_CHARGES", "_TWO_QUOTIENT"):
+        assert not hasattr(tables, name), name
+    member = re.compile(r"(charge|quotient-parts):(\d+):(\d+)|quotient-weight:(\d+)")
+    named = {key for key in tables.FOLDS if re.search("charge|quotient|core", key)}
+    members = {key for key in named if member.fullmatch(key)}
+    assert named - members == {"two-quotient-rank", "five-core-crank"}
+    for key in members:
+        _, t, i, weight_t = member.fullmatch(key).groups()
+        assert 2 <= int(t or weight_t) <= 11 and (i is None or int(i) < int(t)), key
+    assert len(members) == sum(2 * t + 1 for t in range(2, 12))
 
 
 def test_every_filter_column_is_folded():

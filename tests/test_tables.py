@@ -25,24 +25,32 @@ from tcorelab.partitions import BoundExceededError, Partition, enumerate_partiti
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
+def family_oracles(t: int) -> dict:
+    # the n-vector of the t-core, and the weight and component part counts
+    # of the t-quotient
+    return {
+        **{f"charge:{t}:{i}": lambda p, i=i: phi2(phi1(p, t).core, t)[i] for i in range(t)},
+        f"quotient-weight:{t}": lambda p: phi1(p, t).quotient_weight(),
+        **{f"quotient-parts:{t}:{i}": lambda p, i=i: len(phi1(p, t).quotient[i])
+           for i in range(t)},
+    }
+
+
+FAMILY_ORACLES = {name: oracle for t in range(2, 12) for name, oracle in family_oracles(t).items()}
+
 # The definition of every folded column.
 FOLD_ORACLES = {
     "part-count": len,
     "odd-parts": lambda p: p.odd_part_count(),
     "conjugate-odd-parts": lambda p: p.conjugate().odd_part_count(),
     "srank": stats.srank,
-    "bg-rank": stats.bg_rank,
     "dyson-rank": stats.dyson_rank,
     "has-repeated-even-part": stats.has_repeated_even_part,
     "one-parts": lambda p: p.count(1),
     "ag-crank": stats.ag_crank,
-    # the n-vector of the 5-core, and the weight of the 5-quotient
-    **{f"five-core-charge-{i}": lambda p, i=i: phi2(phi1(p, 5).core, 5)[i] for i in range(5)},
+    **FAMILY_ORACLES,
     "five-core-crank": stats.five_core_crank,
-    "five-quotient-weight": lambda p: phi1(p, 5).quotient_weight(),
-    # the component lengths of phi1(p, 2)
-    "two-quotient-parts-0": lambda p: len(phi1(p, 2).quotient[0]),
-    "two-quotient-parts-1": lambda p: len(phi1(p, 2).quotient[1]),
     "two-quotient-rank": lambda p: len(phi1(p, 2).quotient[0]) - len(phi1(p, 2).quotient[1]),
     # the even-pair extraction bijection1(p)[0], and the type-B test
     "largest-part-odd-multiplicity": lambda p: p.count(p.largest) % 2,
@@ -92,13 +100,26 @@ def test_five_core_crank_fold_at_every_weight_4_mod_5(cold):
         assert list(table.columns("five-core-crank")[0]) == expected, n
 
 
-def test_five_core_columns_match_the_decomposition(cold):
-    # the 5-core's n-vector and the 5-quotient weight, one phi1 per partition
-    names = [*(f"five-core-charge-{i}" for i in range(5)), "five-quotient-weight"]
-    for n in range(31):
-        expected = [(*phi2(cq.core, 5), cq.quotient_weight())
-                    for cq in (phi1(p, 5) for p in enumerate_partitions(n))]
-        assert list(zip(*tables.weight_table(n).columns(*names))) == expected, n
+@pytest.mark.parametrize("weights", [range(19), range(18, -1, -1)], ids=["rising", "falling"])
+def test_family_columns_match_the_decomposition(cold, weights):
+    # every member for t = 2..11, filled weight by weight, up or down,
+    # against one phi1 per partition and t
+    for n in weights:
+        partitions = list(enumerate_partitions(n))
+        for t in range(2, 12):
+            expected = [(*phi2(cq.core, t), cq.quotient_weight(), *map(len, cq.quotient))
+                        for cq in (phi1(p, t) for p in partitions)]
+            columns = tables.weight_table(n).columns(*family_oracles(t))
+            assert list(zip(*columns)) == expected, (n, t)
+
+
+def test_bg_rank_reads_the_first_two_core_charge(cold):
+    for n in range(26):
+        table = tables.weight_table(n)
+        bg, = table.columns("bg-rank")
+        assert bg is table.columns("charge:2:0")[0]
+        assert list(bg) == list(map(stats.bg_rank, table.partitions())), n
+        assert "bg-rank" not in table.filled
 
 
 def test_five_core_crank_needs_weight_4_mod_5(cold):
@@ -109,8 +130,9 @@ def test_five_core_crank_needs_weight_4_mod_5(cold):
 
 @pytest.mark.parametrize("weights", [range(26), range(25, -1, -1)], ids=["rising", "falling"])
 def test_folded_columns_match_their_definitions(cold, weights):
-    # filled weight by weight, up or down, the columns in either order
-    names = sorted(tables.FOLDS)
+    # filled weight by weight, up or down, the columns in either order; the
+    # family has its own test, one phi1 per partition and t
+    names = sorted(tables.FOLDS.keys() - FAMILY_ORACLES.keys())
     for n in weights:
         for name in names if n % 2 else reversed(names):
             if readable(n, name):

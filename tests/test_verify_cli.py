@@ -222,8 +222,11 @@ class TestWeightTable:
 
     def test_parts_must_fit_a_byte(self, monkeypatch):
         monkeypatch.setenv("TCORELAB_MAX_N", "300")
-        with pytest.raises(ValueError, match="up to 255, not 256"):
-            tables.WeightTable(256).total()
+        with pytest.raises(ValueError, match="^a weight table holds weights up to 127, not 128$"):
+            tables.WeightTable(128).total()
+        # every column is a signed byte
+        assert {column.typecode for column in tables.WeightTable(30).columns(
+            "dyson-rank", "charge:11:0")} == {"b"}
 
     def test_every_read_checks_the_bound(self, monkeypatch):
         table = tables.WeightTable(24)
@@ -546,6 +549,17 @@ class TestRegistry:
         finally:
             tables.clear_memo()
         assert reports == expected
+
+    def test_g3_tally_reads_the_family_columns(self):
+        # one 3-quotient part count off by one at weight 5, below the tally
+        # order, shifts that partition's terms by x^3
+        tables.clear_memo()
+        try:
+            tables.weight_table(5).columns("quotient-parts:3:1")[0][0] += 1
+            report = verify.run_check("CHK-G3")
+        finally:
+            tables.clear_memo()
+        assert (report.status, report.witness) == ("fail", {"route": "tally", "q_power": 5})
 
     @pytest.mark.parametrize("check_id, name, bounds, route", [
         ("CHK-5CORE", "theta_vector", {"order": 10, "psift_order": 10, "rel_n": 10}, "theta"),
