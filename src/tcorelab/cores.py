@@ -30,7 +30,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .partitions import (
     Partition,
     beta_contents,
-    enumerate_partitions,
     is_t_core,
     residue_counts,
 )
@@ -552,8 +551,3 @@ def iter_core_vectors(t: int, max_weight: int) -> Iterator[tuple[tuple[int, ...]
         i += 1
         if i < inner:
             ranges[i] = iter(span(i, partial2[i]))
-
-
-def count_t_cores_by_filter(n: int, t: int) -> int:
-    """Oracle route: filter the full partition enumeration by the core test."""
-    return sum(1 for p in enumerate_partitions(n) if is_t_core(p, t))

@@ -16,7 +16,6 @@ from tcorelab.cores import (
     capital_phi,
     capital_phi_inv,
     core_weight_from_vector,
-    count_t_cores_by_filter,
     iter_core_vectors,
     n_from_alpha,
     phi1,
@@ -27,7 +26,12 @@ from tcorelab.cores import (
     q_alpha,
     words,
 )
-from tcorelab.partitions import Partition, enumerate_partitions, strip_to_core
+from tcorelab.partitions import Partition, enumerate_partitions, is_t_core, strip_to_core
+
+
+def count_t_cores_by_filter(n: int, t: int) -> int:
+    """Oracle route: filter the full partition enumeration by the core test."""
+    return sum(1 for p in enumerate_partitions(n) if is_t_core(p, t))
 
 
 class TestWords:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from tcorelab import cores, stats, tables, verify
 from tcorelab.cli import main
-from tcorelab.cores import core_weight_from_vector, count_t_cores_by_filter, iter_core_vectors
+from tcorelab.cores import core_weight_from_vector, iter_core_vectors
 from tcorelab.orbits import orbit_map, orbit_map_s
 from tcorelab.partitions import BoundExceededError, Partition, enumerate_partitions, is_t_core
 
@@ -263,7 +263,7 @@ def test_alpha_form_counts_match_the_box():
 
 @functools.cache
 def filter_count(n: int, t: int) -> int:
-    return count_t_cores_by_filter(n, t)
+    return sum(1 for p in enumerate_partitions(n) if is_t_core(p, t))
 
 
 @functools.cache
@@ -447,9 +447,10 @@ class TestRegistry:
         tables.clear_memo()
 
     def test_each_weight_is_enumerated_once(self, monkeypatch):
-        # the 23 enumeration checks at weights <= 14, in two orders: the
-        # first read of a weight packs it (from the lower weights' tables),
-        # every later read replays it
+        # the 23 enumeration checks and CHK-TCOREGF's filter route at weights
+        # <= 14, in two orders: the first read of a weight packs it (from the
+        # lower weights' tables), every later read replays it, and no check
+        # reaches enumerate_partitions through any module
         bounds = {
             "CHK-RAM5": {"max_n": 14}, "CHK-RAM7": {"max_n": 12},
             "CHK-RAM11": {"max_n": 14},
@@ -464,6 +465,7 @@ class TestRegistry:
             "CHK-ELEGANT": {"max_n": 14}, "CHK-SRTQ": {"max_n": 12},
             "CHK-STRIP": {"max_n": 10}, "CHK-BGRALT": {"max_n": 14},
             "CHK-THM5": {"max_n": 14}, "CHK-COR5": {"max_n": 14},
+            "CHK-TCOREGF": {"order": 20, "enum_n": 12, "t_min": 2, "t_max": 7},
         }
         calls = Counter()
         pack = tables.WeightTable._pack
@@ -472,7 +474,13 @@ class TestRegistry:
             calls[table.n] += 1
             return pack(table)
 
+        def trap(n):
+            raise AssertionError(f"enumerate_partitions({n}) called by a check")
+
         monkeypatch.setattr(tables.WeightTable, "_pack", counting)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tcorelab" and hasattr(module, "enumerate_partitions"):
+                monkeypatch.setattr(module, "enumerate_partitions", trap)
         for order in (list(bounds), list(reversed(bounds))):
             tables.clear_memo()
             calls.clear()
@@ -549,6 +557,19 @@ class TestRegistry:
         finally:
             tables.clear_memo()
         assert reports == expected
+
+    def test_tcoregf_filter_fault_witness(self, monkeypatch):
+        # the filter route misreads the 2-core (2, 1) as no core; the series
+        # and n-vector routes still agree, so the filter count is the witness
+        is_core = verify.is_t_core
+
+        def misread(p, t):
+            return is_core(p, t) and not (t == 2 and p == (2, 1))
+
+        monkeypatch.setattr(verify, "is_t_core", misread)
+        report = verify.run_check("CHK-TCOREGF", order=20, enum_n=12)
+        assert (report.status, report.witness) == (
+            "fail", {"t": 2, "n": 3, "filtered": 0, "vectors": 1})
 
     def test_g3_tally_reads_the_family_columns(self):
         # one 3-quotient part count off by one at weight 5, below the tally
@@ -638,7 +659,8 @@ class TestCli:
         ("CHK-RAM7", 30, "max_n 47 reaches p(47), past the series order 30"),
         ("CHK-RAM11", 30, "max_n 50 reaches p(50), past the series order 30"),
         ("CHK-5CORE", 0, "CHK-5CORE needs order >= 1, got 0"),
-    ], ids=["CHK-RAM5", "CHK-RAM7", "CHK-RAM11", "CHK-5CORE"])
+        ("CHK-FJ", 0, "order must be positive"),
+    ], ids=["CHK-RAM5", "CHK-RAM7", "CHK-RAM11", "CHK-5CORE", "CHK-FJ"])
     def test_verify_order_out_of_bounds_is_usage_error(self, check_id, order, message,
                                                         capsys):
         assert main(["verify", "--check", check_id, "--order", str(order)]) == 2
