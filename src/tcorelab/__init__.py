@@ -57,7 +57,6 @@ from .stats import (
     st_crank,
     two_quotient_rank,
 )
-from .tables import class_counts
 from .verify import CheckReport, run_all, run_check, search_counterexample
 
 __version__ = "0.1.0"

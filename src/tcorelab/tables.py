@@ -39,20 +39,18 @@ def clear_memo() -> None:
 
 
 def _core_step(t: int, member: str, a: int, _, *sources: array, i: int = 0) -> Iterable[int]:
-    """Charge i, the quotient weight or part count i of a + q for t, from q's
-    charges c_0..c_{t-1} (its t-core's n-vector), then its quotient weight
-    or its components' part counts k_0..k_{t-1}; () has all of them 0.
+    """Charge i or quotient part count i of a + q for t, from q's charges
+    c_0..c_{t-1} (its t-core's n-vector), then its quotient components' part
+    counts k_0..k_{t-1}; () has all of them 0.
 
     Prepending a lays a bead of colour r = (a - 1) mod t at level (a - 1)//t
     on top and moves q's beads down one place, so q's colour i + 1 becomes
     colour i, and its colour 0 colour t - 1, a level lower.  So c_i(a + q) =
     c_{i+1 mod t}(q) + [i = r] - [i = t - 1], and k_i(a + q) = k_{i+1 mod
     t}(q) for i != r.  Component r has k_r(a + q) = (a - 1)//t + 1 - c_r(a +
-    q) parts, the gaps below the new bead on its runner, never negative; the
-    quotient weight gains as much, by |p| = |core| + t|quotient| and the
-    core's weight t|c|^2/2 + sum(i c_i).
+    q) parts, the gaps below the new bead on its runner, never negative.
     """
-    charges, rest = sources[:t], sources[t:]
+    charges, parts = sources[:t], sources[t:]
     r = (a - 1) % t
 
     def charge(j: int) -> Iterator[int]:
@@ -60,10 +58,9 @@ def _core_step(t: int, member: str, a: int, _, *sources: array, i: int = 0) -> I
 
     if member == "charge":
         return charge(i)
-    fresh = map(((a - 1) // t + 1).__sub__, charge(r))
-    if member == "quotient-weight":
-        return map(operator.add, rest[0], fresh)
-    return fresh if i == r else rest[(i + 1) % t]
+    if i != r:
+        return parts[(i + 1) % t]
+    return map(((a - 1) // t + 1).__sub__, charge(r))
 
 
 def _members(kind: str, t: int) -> tuple[str, ...]:
@@ -75,11 +72,9 @@ def _core_family(t: int) -> dict[str, tuple[tuple[str, ...], Callable[..., Itera
     # so a read fills the same columns at each weight below it, however deep
     # the recursion goes.
     charges, parts = _members("charge", t), _members("quotient-parts", t)
-    weight = f"quotient-weight:{t}"
     return {
         **{name: (charges, partial(_core_step, t, "charge", i=i))
            for i, name in enumerate(charges)},
-        weight: ((*charges, weight), partial(_core_step, t, "quotient-weight")),
         **{name: ((*charges, *parts), partial(_core_step, t, "quotient-parts", i=i))
            for i, name in enumerate(parts)},
     }
@@ -181,7 +176,7 @@ FOLDS: dict[str, tuple[tuple[str, ...], Callable[..., Iterable[int]]]] = {
     "one-parts": (("one-parts",), lambda a, _, ones: map(int(a == 1).__add__, ones)),
     "ag-crank": (("ag-crank", "one-parts"),
                  lambda a, _, crank, ones: _ag_crank_step(a, crank, ones)),
-    # the t-core's n-vector, the t-quotient's weight and its part counts
+    # the t-core's n-vector and the t-quotient's part counts
     **{name: entry for t in range(2, 12) for name, entry in _core_family(t).items()},
     "five-core-crank": (_members("charge", 5), _five_core_crank_fold),
     # the part counts of the 2-quotient's components, 0 less 1
@@ -313,33 +308,6 @@ class WeightTable:
 def weight_table(n: int) -> WeightTable:
     """The process-wide table of weight n."""
     return WeightTable(n)
-
-
-# filter name -> (column, test on its value)
-FILTERS: dict[str, tuple[str, Callable[[int], bool]]] = {
-    "srank-0-mod-4": ("srank", lambda s: s % 4 == 0),
-    "srank-2-mod-4": ("srank", lambda s: s % 4 == 2),
-    "is-5-core": ("quotient-weight:5", operator.not_),
-    "no-repeated-even-parts": ("has-repeated-even-part", operator.not_),
-}
-
-
-def class_counts(
-    n: int, statistic: str, modulus: int, filter_name: str | None = None
-) -> dict[int, int]:
-    """Exhaustive residue tally of a named statistic over the partitions of n."""
-    if statistic not in stats.STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    if filter_name is not None and filter_name not in FILTERS:
-        raise ValueError(f"unknown filter {filter_name!r}")
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    column, keep = FILTERS.get(filter_name, (statistic, None))
-    out = {r: 0 for r in range(modulus)}
-    for (value, tag), c in weight_table(n).joint(statistic, column).items():
-        if keep is None or keep(tag):
-            out[value % modulus] += c
-    return out
 
 
 def _vectors(walk: Iterator) -> Iterator:

@@ -56,7 +56,7 @@ from .qseries import (
     triangular_theta,
 )
 from .rings import CYC5, INT, LaurentRing
-from .tables import class_counts, core_tally, table2_data, weight_table
+from .tables import core_tally, table2_data, weight_table
 
 # ---------------------------------------------------------------------------
 # reports and registry plumbing
@@ -150,11 +150,15 @@ def check_params(check_id: str, **overrides) -> dict:
         if key not in params:
             raise ValueError(f"check {check_id} takes no parameter {key!r}")
         params[key] = value
-    # every bound is a weight, order or count: a negative one would make
-    # the check's ranges empty and pass it vacuously
+    # every bound is a weight, order or count: a negative one, or t bounds
+    # the wrong way round, would make the check's ranges empty and pass it
+    # vacuously
     for key, value in params.items():
         if value < 0:
             raise ValueError(f"check {check_id} needs {key} >= 0, got {value}")
+    if params.get("t_min", 0) > params.get("t_max", 0):
+        raise ValueError(f"check {check_id} needs t_min <= t_max, "
+                         f"got {params['t_min']} > {params['t_max']}")
     return params
 
 
@@ -190,6 +194,15 @@ def _tally_series(ring, order: int, names: tuple[str, ...], term) -> Series:
             ring.zero)
         for n in range(order)
     ])
+
+
+def _weights(offset: int, top: int, step: int) -> range:
+    """The weights step*k + offset <= top.  A bound below the first would
+    leave the check no weight to test, and raises ValueError."""
+    weights = range(offset, top + 1, step)
+    if not weights:
+        raise ValueError(f"bound {top} is below {offset}, the first weight {step}n+{offset}")
+    return weights
 
 
 def _equal_split(counts: dict[int, int], modulus: int, **where) -> None:
@@ -252,11 +265,11 @@ def _near(a: int, room: int) -> range:
 
 
 def _progression_check(step: int, offset: int, max_n: int, modulus: int, order: int):
-    last = max_n - (max_n - offset) % step  # the largest step*k + offset <= max_n
-    if last >= order:
-        raise ValueError(f"max_n {max_n} reaches p({last}), past the series order {order}")
+    weights = _weights(offset, max_n, step)
+    if weights[-1] >= order:
+        raise ValueError(f"max_n {max_n} reaches p({weights[-1]}), past the series order {order}")
     series = partition_count_series(order)
-    for n in range(offset, max_n + 1, step):
+    for n in weights:
         total = weight_table(n).total()
         if total != series.coeff(n):
             fail({"n": n, "enumerated": total, "series": series.coeff(n)})
@@ -289,8 +302,8 @@ def _equal_classes(statistic: str, jobs):
     """The statistic mod m splits p(mn + offset) evenly, for each
     (m, offset, top) job and every mn + offset <= top."""
     for modulus, offset, top in jobs:
-        for n in range(offset, top + 1, modulus):
-            _equal_split(class_counts(n, statistic, modulus), modulus, n=n)
+        for n in _weights(offset, top, modulus):
+            _equal_split(Counter(weight_table(n).columns(statistic)[0]), modulus, n=n)
 
 
 @register("CHK-DYSON", "rank mod 5 / mod 7 splits p(5n+4), p(7n+5) evenly",
@@ -321,12 +334,13 @@ def _chk_crankgf(params):
 
 @register("CHK-GREF5", "crank mod 10 refines crank mod 2 on 5n+4", max_n=49)
 def _chk_gref5(params):
-    for n in range(4, params["max_n"] + 1, 5):
-        mod10 = class_counts(n, "ag-crank", 10)
+    for n in _weights(4, params["max_n"], 5):
+        # crank = 2k + alpha (mod 10) exactly when crank // 2 = k (mod 5) and
+        # crank % 2 = alpha
+        halves = Counter(map(divmod, weight_table(n).columns("ag-crank")[0], repeat(2)))
         for alpha in (0, 1):
-            # crank = 2k + alpha (mod 10) for k = 0..4
-            halves = {k: mod10[2 * k + alpha] for k in range(5)}
-            _equal_split(halves, 5, n=n, alpha=alpha)
+            _equal_split({k: c for (k, a), c in halves.items() if a == alpha}, 5,
+                         n=n, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +377,7 @@ def _chk_p02prod(params):
 @register("CHK-ANDREWS", "p0(5n+4), p2(5n+4) = 0 (mod 5); p2 = 0 (mod 10)",
           max_n=49)
 def _chk_andrews(params):
-    for n in range(4, params["max_n"] + 1, 5):
+    for n in _weights(4, params["max_n"], 5):
         totals = Counter(s % 4 for s in weight_table(n).columns("srank")[0])
         p0, p2 = totals[0], totals[2]
         if p0 % 5 or p2 % 5 or p2 % 10:
@@ -455,7 +469,7 @@ def _chk_thm1(params):
 def _srank_class_split(max_n: int, name: str) -> None:
     """Fail unless the named statistic mod 5 splits each srank class of the
     partitions of 5n+4 <= max_n evenly."""
-    for n in range(4, max_n + 1, 5):
+    for n in _weights(4, max_n, 5):
         classes = {0: Counter(), 2: Counter()}  # srank is even
         for (s, value), c in weight_table(n).joint("srank", name).items():
             classes[s % 4][value] += c
@@ -533,7 +547,7 @@ def _chk_g2(params):
 
 
 @register("CHK-G3", "3-quotient statistic reduces to the crank product",
-          order=40, tally_order=20)
+          order=40, tally_order=50)
 def _chk_g3(params):
     order = params["order"]
     ring = LaurentRing(("x",))
@@ -661,7 +675,7 @@ def _chk_5core(params):
 @register("CHK-ORBIT", "orbit maps are weight-preserving bijections of order 5",
           max_n=49)
 def _chk_orbit(params):
-    for n in range(4, params["max_n"] + 1, 5):
+    for n in _weights(4, params["max_n"], 5):
         table = weight_table(n)
         crank, srank = table.columns("five-core-crank", "srank")
         partitions = list(table.partitions())

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
+from collections import Counter
 from pathlib import Path
 
 from tcorelab import stats, tables, verify
@@ -75,13 +76,13 @@ def test_criterion_2_three_statistics():
     run_ok("CHK-THM2", max_n=49)
     run_ok("CHK-THM3", max_n=49)
     elapsed = time.perf_counter() - start
+    # the Table 1 sizes: 4 partitions of 9 in each class mod 5 of srank 0
+    # (mod 4), 2 in each of srank 2
     for stat_name in ("st-crank", "two-quotient-rank", "five-core-crank"):
-        assert tables.class_counts(9, stat_name, 5, "srank-0-mod-4") == {
-            k: 4 for k in range(5)
-        }
-        assert tables.class_counts(9, stat_name, 5, "srank-2-mod-4") == {
-            k: 2 for k in range(5)
-        }
+        cells = Counter()
+        for (s, value), c in tables.weight_table(9).joint("srank", stat_name).items():
+            cells[s % 4, value % 5] += c
+        assert cells == {(s, k): 4 if s == 0 else 2 for s in (0, 2) for k in range(5)}
     assert elapsed < 120.0
 
 

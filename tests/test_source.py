@@ -83,26 +83,27 @@ def test_every_statistic_column_is_folded():
 
 
 def test_one_core_family_for_every_t():
-    # the t-core charges, the t-quotient weight and its part counts are
-    # one family of folds keyed by t, with no fold of its own for one t
+    # the t-core charges and the t-quotient's part counts are one family of
+    # folds keyed by t, with no fold of its own for one t
     for name in ("_charge_fold", "_quotient_weight_fold", "_two_quotient_step",
                  "_CHARGES", "_TWO_QUOTIENT"):
         assert not hasattr(tables, name), name
-    member = re.compile(r"(charge|quotient-parts):(\d+):(\d+)|quotient-weight:(\d+)")
+    member = re.compile(r"(charge|quotient-parts):(\d+):(\d+)")
     named = {key for key in tables.FOLDS if re.search("charge|quotient|core", key)}
     members = {key for key in named if member.fullmatch(key)}
     assert named - members == {"two-quotient-rank", "five-core-crank"}
     for key in members:
-        _, t, i, weight_t = member.fullmatch(key).groups()
-        assert 2 <= int(t or weight_t) <= 11 and (i is None or int(i) < int(t)), key
-    assert len(members) == sum(2 * t + 1 for t in range(2, 12))
+        _, t, i = member.fullmatch(key).groups()
+        assert 2 <= int(t) <= 11 and int(i) < int(t), key
+    assert len(members) == sum(2 * t for t in range(2, 12))
 
 
-def test_every_filter_column_is_folded():
-    # the weight table fills folds only, so a filter reads a folded column,
-    # and tables.py keeps no table of columns replayed through a function
-    assert {column for column, _ in tables.FILTERS.values()} <= set(tables.FOLDS)
-    assert not hasattr(tables, "COLUMNS")
+def test_one_way_to_count_a_weight():
+    # a check counts a weight through the table's columns (`columns`,
+    # `joint`); tables.py keeps no second tally with filters of its own, and
+    # no table of columns replayed through a function
+    for name in ("FILTERS", "class_counts", "COLUMNS"):
+        assert not hasattr(tables, name), name
 
 
 def test_only_the_weight_table_enumerates():

@@ -27,11 +27,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def family_oracles(t: int) -> dict:
-    # the n-vector of the t-core, and the weight and component part counts
-    # of the t-quotient
+    # the n-vector of the t-core, and the component part counts of the
+    # t-quotient
     return {
         **{f"charge:{t}:{i}": lambda p, i=i: phi2(phi1(p, t).core, t)[i] for i in range(t)},
-        f"quotient-weight:{t}": lambda p: phi1(p, t).quotient_weight(),
         **{f"quotient-parts:{t}:{i}": lambda p, i=i: len(phi1(p, t).quotient[i])
            for i in range(t)},
     }
@@ -107,7 +106,7 @@ def test_family_columns_match_the_decomposition(cold, weights):
     for n in weights:
         partitions = list(enumerate_partitions(n))
         for t in range(2, 12):
-            expected = [(*phi2(cq.core, t), cq.quotient_weight(), *map(len, cq.quotient))
+            expected = [(*phi2(cq.core, t), *map(len, cq.quotient))
                         for cq in (phi1(p, t) for p in partitions)]
             columns = tables.weight_table(n).columns(*family_oracles(t))
             assert list(zip(*columns)) == expected, (n, t)

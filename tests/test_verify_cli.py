@@ -25,21 +25,10 @@ from tcorelab.partitions import BoundExceededError, Partition, enumerate_partiti
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# The per-partition filters the weight table replaced, kept as its oracle.
-ORACLE_FILTERS = {
-    None: lambda p: True,
-    "srank-0-mod-4": lambda p: stats.srank(p) % 4 == 0,
-    "srank-2-mod-4": lambda p: stats.srank(p) % 4 == 2,
-    "is-5-core": lambda p: is_t_core(p, 5),
-    "no-repeated-even-parts": lambda p: not stats.has_repeated_even_part(p),
-}
-
-
-def direct_joint(n: int, names: tuple[str, ...], filter_name: str | None) -> Counter:
+def direct_joint(n: int, names: tuple[str, ...]) -> Counter:
     """One loop over the partitions of n, as every check ran before the table."""
     fns = [stats.STATISTICS[name] for name in names]
-    keep = ORACLE_FILTERS[filter_name]
-    return Counter(tuple(fn(p) for fn in fns) for p in enumerate_partitions(n) if keep(p))
+    return Counter(tuple(fn(p) for fn in fns) for p in enumerate_partitions(n))
 
 
 def _first_alike(q):
@@ -111,32 +100,25 @@ def _key_level(images):
 
 class TestClassCounts:
     def test_table1_counts(self):
-        counts = tables.class_counts(9, "st-crank", 5, "srank-0-mod-4")
-        assert counts == {k: 4 for k in range(5)}
-        counts = tables.class_counts(9, "st-crank", 5, "srank-2-mod-4")
-        assert counts == {k: 2 for k in range(5)}
+        # Table 1: St-crank mod 5 splits the 30 partitions of 9 into cells of
+        # 4 for srank 0 (mod 4) and of 2 for srank 2
+        cells = Counter()
+        for (s, crank), c in tables.weight_table(9).joint("srank", "st-crank").items():
+            cells[s % 4, crank % 5] += c
+        assert cells == {(s, k): 4 if s == 0 else 2 for s in (0, 2) for k in range(5)}
 
     def test_weight_zero(self):
         for statistic in ("srank", "dyson-rank", "ag-crank", "st-crank",
                           "two-quotient-rank", "bg-rank"):
-            counts = tables.class_counts(0, statistic, 5)
-            assert counts[0] == 1
-            assert sum(counts.values()) == 1
-
-    def test_unknown_names(self):
-        with pytest.raises(ValueError):
-            tables.class_counts(5, "no-such-stat", 5)
-        with pytest.raises(ValueError):
-            tables.class_counts(5, "srank", 5, "no-such-filter")
-
-    @pytest.mark.parametrize("modulus", [0, -3])
-    def test_modulus_below_one(self, modulus):
-        with pytest.raises(ValueError, match="modulus must be positive"):
-            tables.class_counts(5, "srank", modulus)
+            assert list(tables.weight_table(0).columns(statistic)[0]) == [0], statistic
 
     def test_five_core_filter(self):
-        counts = tables.class_counts(9, "five-core-crank", 5, "is-5-core")
-        assert counts == {k: 1 for k in range(5)}
+        # the five 5-cores of 9 take the 5-core cranks 0..4 once each
+        table = tables.weight_table(9)
+        cranks = [crank for p, crank in zip(table.partitions(),
+                                            table.columns("five-core-crank")[0])
+                  if is_t_core(p, 5)]
+        assert sorted(cranks) == [0, 1, 2, 3, 4]
 
     def test_equal_split_witnesses(self):
         # values are read mod the modulus: 7 falls in class 1
@@ -153,28 +135,14 @@ class TestClassCounts:
         n=st.integers(0, 16),
         names=st.tuples(st.sampled_from(sorted(stats.STATISTICS)),
                         st.sampled_from(sorted(stats.STATISTICS))),
-        filter_name=st.sampled_from([None, *tables.FILTERS]),
         fresh=st.booleans(),
     )
-    def test_table_matches_direct_loop(self, n, names, filter_name, fresh):
+    def test_table_matches_direct_loop(self, n, names, fresh):
         assume(n % 5 == 4 or "five-core-crank" not in names)
         if fresh:
             tables.clear_memo()
         table = tables.weight_table(n)
-        if filter_name is None:
-            joint = table.joint(*names)
-        else:
-            column, keep = tables.FILTERS[filter_name]
-            joint = Counter()
-            for (*values, tag), c in table.joint(*names, column).items():
-                if keep(tag):
-                    joint[tuple(values)] += c
-        expected = direct_joint(n, names, filter_name)
-        assert joint == expected
-        residues = {r: 0 for r in range(5)}
-        for (value, _), c in expected.items():
-            residues[value % 5] += c
-        assert tables.class_counts(n, names[0], 5, filter_name) == residues
+        assert table.joint(*names) == direct_joint(n, names)
         assert table.total() == sum(1 for _ in enumerate_partitions(n))
 
 
@@ -550,13 +518,45 @@ class TestRegistry:
         monkeypatch.setitem(stats.STATISTICS, statistic, lambda p: 2)
         for n in range(18):
             table = tables.weight_table(n)
-            table.filled[statistic] = array("h", [2] * table.total())
+            table.filled[statistic] = array("b", [2] * table.total())
         try:
             reports = {cid: verify.run_check(cid, **report["params"]).to_json()
                        for cid, report in expected.items()}
         finally:
             tables.clear_memo()
         assert reports == expected
+
+    def test_dyson_reads_the_rank_column(self):
+        # the ranks of 4, 3+1, 2+2, 2+1+1 and 1+1+1+1 are 3, 1, 0, -1, -3, one
+        # in each class mod 5; a first rank read as 0 doubles class 0
+        tables.clear_memo()
+        try:
+            tables.weight_table(4).columns("dyson-rank")[0][0] = 0
+            report = verify.run_check("CHK-DYSON", max_n5=9, max_n7=12)
+        finally:
+            tables.clear_memo()
+        assert (report.status, report.witness) == (
+            "fail", {"n": 4, "class": 0, "count": 2, "expected": 1})
+
+    @pytest.mark.parametrize("check_id", ["CHK-TCOREGF", "CHK-THM4", "CHK-SRTQ"])
+    def test_reversed_t_bounds_are_rejected(self, check_id):
+        # an empty t range would pass the check vacuously
+        with pytest.raises(ValueError, match=f"^check {check_id} needs t_min <= t_max, "
+                                             "got 5 > 4$"):
+            verify.run_check(check_id, t_min=5, t_max=4)
+
+    @pytest.mark.parametrize("check_id, bounds, message", [
+        ("CHK-RAM7", {"max_n": 4}, "bound 4 is below 5, the first weight 7n+5"),
+        ("CHK-DYSON", {"max_n7": 4}, "bound 4 is below 5, the first weight 7n+5"),
+        ("CHK-AG", {"max_n11": 5}, "bound 5 is below 6, the first weight 11n+6"),
+        ("CHK-GREF5", {"max_n": 3}, "bound 3 is below 4, the first weight 5n+4"),
+        ("CHK-ANDREWS", {"max_n": 3}, "bound 3 is below 4, the first weight 5n+4"),
+        ("CHK-THM3", {"max_n": 0}, "bound 0 is below 4, the first weight 5n+4"),
+        ("CHK-ORBIT", {"max_n": 2}, "bound 2 is below 4, the first weight 5n+4"),
+    ])
+    def test_a_bound_below_the_first_weight_is_an_error(self, check_id, bounds, message):
+        report = verify.run_check(check_id, **bounds)
+        assert (report.status, report.witness) == ("error", {"error": message})
 
     def test_tcoregf_filter_fault_witness(self, monkeypatch):
         # the filter route misreads the 2-core (2, 1) as no core; the series
@@ -667,6 +667,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["witness"] == {"error": message}
         assert captured.err == f"error: {check_id}: {message}\n"
+
+    def test_verify_below_the_first_weight_is_usage_error(self, capsys):
+        # 5n+4 <= 3 holds for no n, so the check would test no weight
+        assert main(["verify", "--check", "CHK-THM1", "--max-n", "3"]) == 2
+        captured = capsys.readouterr()
+        message = "bound 3 is below 4, the first weight 5n+4"
+        assert json.loads(captured.out)["witness"] == {"error": message}
+        assert captured.err == f"error: CHK-THM1: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--check", "CHK-RAM5", "--max-n", "-1"], "CHK-RAM5 needs max_n >= 0, got -1"),
