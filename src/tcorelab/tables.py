@@ -7,9 +7,11 @@ tables of the lower weights, never by enumerating its weight.
 
 Table 1 groups partitions by (srank mod 4, St-crank mod 5); Table 2 lists
 the orbits of the shifted orbit map with the 5-core crank as column index,
-each member annotated with its 5-core and quotient slot.  Cell contents are
-sorted lexicographically by part tuple and frequency notation is used
-throughout, so renderings are byte-stable.
+each member annotated with its 5-core and quotient slot.  Each table is
+built once, in its JSON form (partitions as lists of parts), and the text
+renderings read that form.  Cell contents are sorted lexicographically by
+part tuple and frequency notation is used throughout, so renderings are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from array import array
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import chain, repeat, starmap, tee
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import stats
 from .cores import iter_core_vectors, phi1, phi2_inv
@@ -294,8 +296,11 @@ class WeightTable:
 
     def columns(self, *names: str) -> tuple[array, ...]:
         """The named columns, any missing ones filled in one pass.  A name in
-        ALIASES reads the column it names."""
+        ALIASES reads the column it names; a name that is neither raises
+        ValueError."""
         names = tuple(ALIASES.get(name, name) for name in names)
+        if unknown := [name for name in names if name not in FOLDS]:
+            raise ValueError(f"no column named {unknown[0]!r}")
         self._fill(names)
         return tuple(self.filled[name] for name in names)
 
@@ -367,65 +372,53 @@ def _core_tally(t: int, top: int, names: tuple[str, ...]) -> Counter:
 # classification tables
 
 
-def freq_notation(p: Partition) -> str:
-    """Frequency form, ascending parts: (1^4,5^1); the empty partition is ()."""
+def freq_notation(parts: Sequence[int]) -> str:
+    """Frequency form, ascending parts: (1^4,5^1); the empty partition is ().
+    The parts may be any nonincreasing sequence, a list included."""
+    p = Partition(parts)
     if not p:
         return "()"
     return "(" + ",".join(f"{part}^{f}" for part, f in p.frequencies().items()) + ")"
 
 
-def table1_data(n: int = 9) -> dict:
-    cells: dict[tuple[int, int], list[Partition]] = {
+def table1_json(n: int = 9) -> dict:
+    table = weight_table(n)
+    cells: dict[tuple[int, int], list[list[int]]] = {
         (s, k): [] for s in (0, 2) for k in range(5)
     }
-    table = weight_table(n)
     for p, srank, crank in zip(table.partitions(), *table.columns("srank", "st-crank")):
-        cells[(srank % 4, crank % 5)].append(p)
-    for members in cells.values():
-        members.sort()
-    return {"n": n, "total": table.total(), "cells": cells}
+        cells[(srank % 4, crank % 5)].append(list(p))
+    return {
+        "n": n,
+        "total": table.total(),
+        "rows": [{"srank_mod4": s, "st_crank_mod5": k, "members": sorted(members)}
+                 for (s, k), members in cells.items()],
+    }
 
 
 def render_table1(n: int = 9) -> str:
-    data = table1_data(n)
+    data = table1_json(n)
     lines = [
         f"Table 1: the {data['total']} partitions of {n} "
         "by srank mod 4 and St-crank mod 5"
     ]
-    for s in (0, 2):
-        for k in range(5):
-            members = ", ".join(freq_notation(p) for p in data["cells"][(s, k)])
-            lines.append(f"srank={s} | St-crank={k} (mod 5): {members}")
+    for row in data["rows"]:
+        members = ", ".join(map(freq_notation, row["members"]))
+        lines.append(f"srank={row['srank_mod4']} | St-crank={row['st_crank_mod5']} "
+                     f"(mod 5): {members}")
     return "\n".join(lines) + "\n"
 
 
-def table1_json(n: int = 9) -> dict:
-    data = table1_data(n)
-    return {
-        "n": n,
-        "total": data["total"],
-        "rows": [
-            {
-                "srank_mod4": s,
-                "st_crank_mod5": k,
-                "members": [list(p) for p in data["cells"][(s, k)]],
-            }
-            for s in (0, 2)
-            for k in range(5)
-        ],
-    }
-
-
-def _member_annotation(p: Partition) -> dict:
+def _image(p: Partition) -> dict:
+    # p's 5-core and 5-quotient; the slot is the quotient's one nonempty
+    # component when the quotient weighs 1, which is then (1)
     cq = phi1(p, 5)
-    slots = [i for i, q in enumerate(cq.quotient) if q]
-    slot = None
-    if cq.quotient_weight() == 1:
-        slot = slots[0]
-    return {"core": cq.core, "quotient": cq.quotient, "slot": slot}
+    quotient = [list(q) for q in cq.quotient]
+    slot = quotient.index([1]) if cq.quotient_weight() == 1 else None
+    return {"core": list(cq.core), "slot": slot, "quotient": quotient}
 
 
-def table2_data(n: int = 9) -> dict:
+def table2_json(n: int = 9) -> dict:
     if n % 5 != 4:
         raise ValueError(f"weight {n} is not 4 (mod 5)")
     seen: set[Partition] = set()
@@ -434,78 +427,40 @@ def table2_data(n: int = 9) -> dict:
     for p in table.partitions():
         if p in seen:
             continue
-        ob = orbit(p, shifted=True)
-        seen.update(ob.members)
-        annotations = [_member_annotation(m) for m in ob.members]
-        orbits.append(
-            {
-                "members": ob.members,
-                "annotations": annotations,
-                "srank_mod4": stats.srank(ob.members[0]) % 4,
-                "all_cores": all(
-                    sum(q.weight for q in a["quotient"]) == 0 for a in annotations
-                ),
-            }
-        )
+        members = orbit(p, shifted=True).members
+        seen.update(members)
+        images = [_image(m) for m in members]
+        orbits.append({
+            "srank_mod4": stats.srank(members[0]) % 4,
+            "all_cores": not any(any(image["quotient"]) for image in images),
+            "c5": list(range(5)),
+            "members": [list(m) for m in members],
+            "images": images,
+        })
     # 5-core orbits first within each srank class, then lexicographic by the
     # crank-0 member
-    orbits.sort(
-        key=lambda ob: (
-            ob["srank_mod4"],
-            0 if ob["all_cores"] else 1,
-            tuple(ob["members"][0]),
-        )
-    )
+    orbits.sort(key=lambda ob: (ob["srank_mod4"], not ob["all_cores"], ob["members"][0]))
     return {"n": n, "total": table.total(), "orbits": orbits}
 
 
-def _member_text(member: Partition, annotation: dict) -> str:
+def _member_text(member: list[int], image: dict) -> str:
     text = freq_notation(member)
-    core = annotation["core"]
-    quotient = annotation["quotient"]
-    if sum(q.weight for q in quotient) == 0:
+    if not any(image["quotient"]):
         return text
-    if annotation["slot"] is not None:
-        return f"{text} -> ({freq_notation(core)},{annotation['slot']})"
-    inner = "|".join(freq_notation(q) for q in quotient)
-    return f"{text} -> ({freq_notation(core)};{inner})"
+    core = freq_notation(image["core"])
+    if image["slot"] is not None:
+        return f"{text} -> ({core},{image['slot']})"
+    return f"{text} -> ({core};{'|'.join(map(freq_notation, image['quotient']))})"
 
 
 def render_table2(n: int = 9) -> str:
-    data = table2_data(n)
+    data = table2_json(n)
     lines = [
         f"Table 2: the {data['total']} partitions of {n} in "
         f"{len(data['orbits'])} orbits of the shifted orbit map; "
         "columns are c5 = 0,1,2,3,4 (mod 5)"
     ]
     for idx, ob in enumerate(data["orbits"], start=1):
-        members = ", ".join(
-            _member_text(m, a) for m, a in zip(ob["members"], ob["annotations"])
-        )
+        members = ", ".join(map(_member_text, ob["members"], ob["images"]))
         lines.append(f"orbit {idx} | srank={ob['srank_mod4']}: {members}")
     return "\n".join(lines) + "\n"
-
-
-def table2_json(n: int = 9) -> dict:
-    data = table2_data(n)
-    return {
-        "n": n,
-        "total": data["total"],
-        "orbits": [
-            {
-                "srank_mod4": ob["srank_mod4"],
-                "all_cores": ob["all_cores"],
-                "c5": list(range(5)),
-                "members": [list(m) for m in ob["members"]],
-                "images": [
-                    {
-                        "core": list(a["core"]),
-                        "slot": a["slot"],
-                        "quotient": [list(q) for q in a["quotient"]],
-                    }
-                    for a in ob["annotations"]
-                ],
-            }
-            for ob in data["orbits"]
-        ],
-    }

@@ -56,7 +56,7 @@ from .qseries import (
     triangular_theta,
 )
 from .rings import CYC5, INT, LaurentRing
-from .tables import core_tally, table2_data, weight_table
+from .tables import core_tally, table2_json, weight_table
 
 # ---------------------------------------------------------------------------
 # reports and registry plumbing
@@ -201,7 +201,8 @@ def _weights(offset: int, top: int, step: int) -> range:
     leave the check no weight to test, and raises ValueError."""
     weights = range(offset, top + 1, step)
     if not weights:
-        raise ValueError(f"bound {top} is below {offset}, the first weight {step}n+{offset}")
+        form = f" {step}n+{offset}" if step > 1 else " tested"
+        raise ValueError(f"bound {top} is below {offset}, the first weight{form}")
     return weights
 
 
@@ -443,7 +444,7 @@ def _chk_coeffz(params):
     order = params["order"]
     products = {y_squared: _g_at_xi(order, y_squared) for y_squared in (1, -1)}
     for y_squared, series in products.items():
-        for n in range(4, order, 5):
+        for n in _weights(4, order - 1, 5):
             if series.coeffs[n] != CYC5.zero:
                 fail({"y_squared": y_squared, "q_power": n,
                       "coefficient": repr(series.coeffs[n])})
@@ -721,17 +722,18 @@ def _chk_orbit(params):
 def _chk_thm3(params):
     _srank_class_split(params["max_n"], "five-core-crank")
     # structural facts behind the weight-9 orbit table
-    data = table2_data(9)
+    data = table2_json(9)
     if len(data["orbits"]) != 6:
         fail({"reason": "orbit count at 9", "found": len(data["orbits"])})
     first = data["orbits"][0]
     if not first["all_cores"] or len(first["members"]) != 5:
         fail({"reason": "first orbit is not the 5-core orbit"})
     for ob in data["orbits"]:
-        cranks = [stats.five_core_crank(m) for m in ob["members"]]
+        members = list(map(Partition, ob["members"]))
+        cranks = [stats.five_core_crank(m) for m in members]
         if cranks != [0, 1, 2, 3, 4]:
             fail({"reason": "crank columns", "found": cranks})
-        sranks = {stats.srank(m) % 4 for m in ob["members"]}
+        sranks = {stats.srank(m) % 4 for m in members}
         if len(sranks) != 1:
             fail({"reason": "orbit srank not constant"})
 
@@ -1000,7 +1002,8 @@ _THM5_CASES = {
 
 @register("CHK-THM5", "BG-rank classes split by 2-quotient-rank mod 5", max_n=45)
 def _chk_thm5(params):
-    for n in range(params["max_n"] + 1):
+    # no weight below 4 holds a BG-rank class that its case tests
+    for n in _weights(4, params["max_n"], 1):
         case = _THM5_CASES[n % 5]
         by_bg: dict[int, Counter] = {}
         for (j, m), c in weight_table(n).joint("bg-rank", "two-quotient-rank").items():
@@ -1012,7 +1015,8 @@ def _chk_thm5(params):
 
 @register("CHK-COR5", "BG-rank refined congruences mod 5", max_n=45)
 def _chk_cor5(params):
-    for n in range(params["max_n"] + 1):
+    # no weight below 4 holds a BG-rank class that its case tests
+    for n in _weights(4, params["max_n"], 1):
         case = _THM5_CASES[n % 5]
         totals = Counter(weight_table(n).columns("bg-rank")[0])
         for j, total in totals.items():
@@ -1049,6 +1053,7 @@ def _chk_ab5jr(params):
           max_weight=104)
 def _chk_ab5j4(params):
     top = params["max_weight"]
+    _weights(4, top, 5)  # a bound below 4 leaves no weight 5n+4 to test
     for (w, j), c in sorted(core_tally(5, top, "bg-rank").items()):
         if w <= top and w % 5 == 4 and c % 5:
             fail({"weight": w, "j": j, "count": c})

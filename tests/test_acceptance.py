@@ -61,11 +61,13 @@ def test_criterion_1_tables():
     elapsed = time.perf_counter() - start
     assert t1 == (GOLDEN / "table1.txt").read_text()
     assert t2 == (GOLDEN / "table2.txt").read_text()
-    data = tables.table1_data(9)
+    data = tables.table1_json(9)
     assert data["total"] == 30
-    assert all(len(data["cells"][(0, k)]) == 4 for k in range(5))
-    assert all(len(data["cells"][(2, k)]) == 2 for k in range(5))
-    assert len(tables.table2_data(9)["orbits"]) == 6
+    sizes = {(row["srank_mod4"], row["st_crank_mod5"]): len(row["members"])
+             for row in data["rows"]}
+    assert all(sizes[(0, k)] == 4 for k in range(5))
+    assert all(sizes[(2, k)] == 2 for k in range(5))
+    assert len(tables.table2_json(9)["orbits"]) == 6
     assert elapsed < 1.0
 
 

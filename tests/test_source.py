@@ -106,6 +106,19 @@ def test_one_way_to_count_a_weight():
         assert not hasattr(tables, name), name
 
 
+def test_one_form_per_classification_table():
+    # each table is built once, as its JSON; the text renderings read it,
+    # and no second function that builds Partition-valued cells stays beside it
+    for name in ("table1_data", "table2_data", "_member_annotation"):
+        assert not hasattr(tables, name), name
+    tree = ast.parse(Path(tables.__file__).read_text())
+    calls = {node.name: {getattr(call.func, "id", None) for call in ast.walk(node)
+                         if isinstance(call, ast.Call)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "table1_json" in calls["render_table1"]
+    assert "table2_json" in calls["render_table2"]
+
+
 def test_only_the_weight_table_enumerates():
     # the weight tables are the one route to a weight's partitions, and they
     # enumerate nothing: each WeightTable packs its weight from the lower

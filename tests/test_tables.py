@@ -127,6 +127,15 @@ def test_five_core_crank_needs_weight_4_mod_5(cold):
             tables.weight_table(n).columns("srank", "five-core-crank")
 
 
+def test_an_unknown_column_is_a_value_error(cold):
+    # raised before the weight is packed, not a KeyError from FOLDS
+    table = tables.weight_table(5)
+    with pytest.raises(ValueError, match="^no column named 'no-such-stat'$"):
+        table.columns("srank", "no-such-stat")
+    assert table.packed is None
+    assert table.filled == {}
+
+
 @pytest.mark.parametrize("weights", [range(26), range(25, -1, -1)], ids=["rising", "falling"])
 def test_folded_columns_match_their_definitions(cold, weights):
     # filled weight by weight, up or down, the columns in either order; the
@@ -240,17 +249,25 @@ def test_freq_notation():
     assert tables.freq_notation(Partition()) == "()"
 
 
+def test_freq_notation_reads_lists():
+    assert tables.freq_notation([5, 1, 1, 1, 1]) == "(1^4,5^1)"
+    assert tables.freq_notation([]) == "()"
+    with pytest.raises(ValueError, match="nonincreasing"):
+        tables.freq_notation([1, 5])
+
+
 def test_table1_structure():
-    data = tables.table1_data(9)
+    data = tables.table1_json(9)
     assert data["total"] == 30
+    cells = {(row["srank_mod4"], row["st_crank_mod5"]): row["members"] for row in data["rows"]}
     for k in range(5):
-        assert len(data["cells"][(0, k)]) == 4
-        assert len(data["cells"][(2, k)]) == 2
-    assert Partition((3, 3, 3)) in data["cells"][(0, 0)]
+        assert len(cells[(0, k)]) == 4
+        assert len(cells[(2, k)]) == 2
+    assert [3, 3, 3] in cells[(0, 0)]
 
 
 def test_table2_structure():
-    data = tables.table2_data(9)
+    data = tables.table2_json(9)
     assert len(data["orbits"]) == 6
     first = data["orbits"][0]
     assert first["all_cores"]
@@ -259,7 +276,7 @@ def test_table2_structure():
     by_member = {
         tuple(m): a
         for ob in data["orbits"]
-        for m, a in zip(ob["members"], ob["annotations"])
+        for m, a in zip(ob["members"], ob["images"])
     }
     assert tuple(by_member[(9,)]["core"]) == (4,)
     assert by_member[(9,)]["slot"] == 3
@@ -275,7 +292,12 @@ def test_table_json_shapes():
 
 
 def test_table2_other_weight():
-    data = tables.table2_data(14)
-    members = [m for ob in data["orbits"] for m in ob["members"]]
+    data = tables.table2_json(14)
+    members = [tuple(m) for ob in data["orbits"] for m in ob["members"]]
     assert len(members) == 135
     assert len(set(members)) == 135
+
+
+def test_table2_needs_weight_4_mod_5():
+    with pytest.raises(ValueError, match="^weight 10 is not 4 \\(mod 5\\)$"):
+        tables.table2_json(10)

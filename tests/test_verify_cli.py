@@ -38,6 +38,35 @@ def _first_alike(q):
                 if (stats.five_core_crank(r), stats.srank(r) % 4) == key)
 
 
+def _drop_an_orbit(orbits):
+    del orbits[-1]
+
+
+def _unmark_the_core_orbit(orbits):
+    orbits[0]["all_cores"] = False
+
+
+def _rotate_an_orbit(orbits):
+    members = orbits[-1]["members"]
+    members.append(members.pop(0))
+
+
+def _swap_across_srank_classes(orbits):
+    # the crank-1 members of the first srank-0 and the first srank-2 orbit
+    zero, two = (next(ob for ob in orbits if ob["srank_mod4"] == s) for s in (0, 2))
+    zero["members"][1], two["members"][1] = two["members"][1], zero["members"][1]
+
+
+# A perturbation of the weight-9 orbit table, and the CHK-THM3 witness
+THM3_FAULTS = {
+    "orbit-dropped": (_drop_an_orbit, {"reason": "orbit count at 9", "found": 5}),
+    "core-orbit-unmarked": (_unmark_the_core_orbit,
+                            {"reason": "first orbit is not the 5-core orbit"}),
+    "members-rotated": (_rotate_an_orbit, {"reason": "crank columns", "found": [1, 2, 3, 4, 0]}),
+    "srank-classes-mixed": (_swap_across_srank_classes, {"reason": "orbit srank not constant"}),
+}
+
+
 def _merge_two_cycles(q):
     """Swap two crank-0 partitions of 9 in one srank class: the map stays a
     bijection with every crank step, but two 5-cycles become one 10-cycle."""
@@ -553,6 +582,7 @@ class TestRegistry:
         ("CHK-ANDREWS", {"max_n": 3}, "bound 3 is below 4, the first weight 5n+4"),
         ("CHK-THM3", {"max_n": 0}, "bound 0 is below 4, the first weight 5n+4"),
         ("CHK-ORBIT", {"max_n": 2}, "bound 2 is below 4, the first weight 5n+4"),
+        ("CHK-AB5J4", {"max_weight": 3}, "bound 3 is below 4, the first weight 5n+4"),
     ])
     def test_a_bound_below_the_first_weight_is_an_error(self, check_id, bounds, message):
         report = verify.run_check(check_id, **bounds)
@@ -570,6 +600,41 @@ class TestRegistry:
         report = verify.run_check("CHK-TCOREGF", order=20, enum_n=12)
         assert (report.status, report.witness) == (
             "fail", {"t": 2, "n": 3, "filtered": 0, "vectors": 1})
+
+    @pytest.mark.parametrize("fault", THM3_FAULTS)
+    def test_thm3_fault_witnesses(self, fault, monkeypatch):
+        # each perturbed copy of the weight-9 orbit table breaks one of the
+        # four structural facts that CHK-THM3 reads off it
+        perturb, witness = THM3_FAULTS[fault]
+        data = tables.table2_json(9)
+        perturb(data["orbits"])
+        monkeypatch.setattr(verify, "table2_json", lambda n: data)
+        report = verify.run_check("CHK-THM3", max_n=9)
+        assert (report.status, report.witness) == ("fail", witness)
+
+    def test_cor5_fault_witness(self):
+        # every partition of 4 has BG-rank 0; one read as 1 leaves a class
+        # of one
+        tables.clear_memo()
+        try:
+            tables.weight_table(4).columns("bg-rank")[0][0] = 1
+            report = verify.run_check("CHK-COR5", max_n=9)
+        finally:
+            tables.clear_memo()
+        assert (report.status, report.witness) == ("fail", {"n": 4, "j": 1, "count": 1})
+
+    def test_ab5j4_fault_witness(self, monkeypatch):
+        # the five 5-cores of weight 9 and BG-rank 1, counted as six
+        core_tally = verify.core_tally
+
+        def off_by_one(t, limit, *names):
+            tally = Counter(core_tally(t, limit, *names))
+            tally[(9, 1)] += 1
+            return tally
+
+        monkeypatch.setattr(verify, "core_tally", off_by_one)
+        report = verify.run_check("CHK-AB5J4", max_weight=24)
+        assert (report.status, report.witness) == ("fail", {"weight": 9, "j": 1, "count": 6})
 
     def test_g3_tally_reads_the_family_columns(self):
         # one 3-quotient part count off by one at weight 5, below the tally
@@ -660,7 +725,9 @@ class TestCli:
         ("CHK-RAM11", 30, "max_n 50 reaches p(50), past the series order 30"),
         ("CHK-5CORE", 0, "CHK-5CORE needs order >= 1, got 0"),
         ("CHK-FJ", 0, "order must be positive"),
-    ], ids=["CHK-RAM5", "CHK-RAM7", "CHK-RAM11", "CHK-5CORE", "CHK-FJ"])
+        # the q-powers 5n+4 below the order: none below 4
+        ("CHK-COEFFZ", 4, "bound 3 is below 4, the first weight 5n+4"),
+    ], ids=["CHK-RAM5", "CHK-RAM7", "CHK-RAM11", "CHK-5CORE", "CHK-FJ", "CHK-COEFFZ"])
     def test_verify_order_out_of_bounds_is_usage_error(self, check_id, order, message,
                                                         capsys):
         assert main(["verify", "--check", check_id, "--order", str(order)]) == 2
@@ -669,12 +736,18 @@ class TestCli:
         assert captured.err == f"error: {check_id}: {message}\n"
 
     def test_verify_below_the_first_weight_is_usage_error(self, capsys):
-        # 5n+4 <= 3 holds for no n, so the check would test no weight
-        assert main(["verify", "--check", "CHK-THM1", "--max-n", "3"]) == 2
-        captured = capsys.readouterr()
-        message = "bound 3 is below 4, the first weight 5n+4"
-        assert json.loads(captured.out)["witness"] == {"error": message}
-        assert captured.err == f"error: CHK-THM1: {message}\n"
+        # 5n+4 <= 3 holds for no n, so the check would test no weight; nor
+        # does a weight <= 3 hold a BG-rank class that CHK-THM5 or CHK-COR5
+        # tests
+        for check_id, message in [
+            ("CHK-THM1", "bound 3 is below 4, the first weight 5n+4"),
+            ("CHK-THM5", "bound 3 is below 4, the first weight tested"),
+            ("CHK-COR5", "bound 3 is below 4, the first weight tested"),
+        ]:
+            assert main(["verify", "--check", check_id, "--max-n", "3"]) == 2
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["witness"] == {"error": message}
+            assert captured.err == f"error: {check_id}: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--check", "CHK-RAM5", "--max-n", "-1"], "CHK-RAM5 needs max_n >= 0, got -1"),
