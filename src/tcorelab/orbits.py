@@ -103,19 +103,6 @@ class Orbit:
     def weight(self) -> int:
         return self.members[0].weight
 
-    def crank_residues(self) -> tuple[int, ...]:
-        return tuple(stats.five_core_crank(m) for m in self.members)
-
-    def srank_classes(self) -> tuple[int, ...]:
-        return tuple(stats.srank(m) % 4 for m in self.members)
-
-    def to_json(self) -> dict:
-        return {
-            "members": [m.to_json() for m in self.members],
-            "c5": list(self.crank_residues()),
-            "srank_mod4": self.srank_classes()[0],
-        }
-
 
 def orbit(p: Partition, shifted: bool = False) -> Orbit:
     """The orbit of p under the (shifted) orbit map."""

@@ -3,16 +3,24 @@
 A series carries its truncation order explicitly; arithmetic never looks at
 coefficients at or beyond it, and binary operations truncate to the smaller
 order.  Infinite products are built factor by factor: each factor
-(1 - elem*q**d) is one O(order) pass (`Series.mul_one_minus` or
-`div_one_minus`), so no convolutions are needed for pochhammer-style
-series.
+(1 - elem*q**d) is one O(order) pass, so no convolutions are needed for
+pochhammer-style series.
+
+`poch_product` builds every product.  When each factor's elem is a monomial
+c*g of the ring's group G (every product in the package), the series is
+held as "planes", one int list per element of G, and a pass maps whole
+lists: multiplying by g only re-indexes the planes.  The planes are turned
+into ring coefficients once, at the end.  A factor list with any other elem
+runs `Series.mul_one_minus` / `div_one_minus`, one pass over ring elements
+per factor; those stay the single-pass API and the route tests compare the
+planes with.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, chain, count, repeat, takewhile
-from math import isqrt
+from itertools import accumulate, chain, count, islice, repeat, takewhile
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .rings import INT
@@ -102,7 +110,7 @@ class Series:
     def mul_one_minus(self, elem, d: int) -> "Series":
         """Multiply by (1 - elem * q**d)."""
         if d < 0:
-            raise ValueError("negative exponent in factor")
+            raise ValueError("negative q-power in factor")
         s = Series(self.ring, self.order, self.coeffs)
         _mul_pass(s.coeffs, self.ring, elem, d)
         return s
@@ -192,28 +200,107 @@ def _div_pass(c: list, ring, elem, d: int) -> None:
             c[k : k + d] = list(map(step, c[k - d : k], c[k : k + d]))
 
 
+def _add_shifted(target: list, source: list, a: int, s: int) -> None:
+    """target += a * q**s * source in place, on int lists of one length."""
+    if a == 1:
+        step = operator.add
+    elif a == -1:
+        step = operator.sub
+    else:
+        def step(x, y):
+            return x + a * y
+    # map stops at the shorter list, so source is read below order - s only
+    target[s:] = list(map(step, target[s:], source))
+
+
+def _plane_pass(planes: dict, order: int, mods: tuple, g: tuple, c: int, d: int,
+                divide: bool) -> None:
+    """planes *= (1 - c*g*q**d), or /= when divide, in place.
+
+    Keys are elements of G = Z^free x prod C_m; multiplying by the monomial g
+    re-indexes planes, so every step is a map over whole int lists."""
+    if any(mods):
+        def times_g(k):
+            return tuple((a + b) % m if m else a + b for a, b, m in zip(k, g, mods))
+    else:
+        def times_g(k):
+            return tuple(map(operator.add, k, g))
+
+    if not any(g):
+        kernel = _div_pass if divide else _mul_pass
+        for p in planes.values():
+            kernel(p, INT, c, d)
+    elif not divide:
+        # each new plane P_k - c q^d P_{k-g}, read from copies of the old ones
+        for k, old in [(times_g(k), p[: order - d]) for k, p in planes.items()]:
+            _add_shifted(planes.get(k) or planes.setdefault(k, [0] * order), old, -c, d)
+    elif free := [(i, e) for i, (e, m) in enumerate(zip(g, mods)) if e and not m]:
+        # g has infinite order: Q_k = P_k + c q^d Q_{k-g} along each chain
+        # k0, k0 + g, ..., walked upward while the shifted plane is nonzero.
+        # Chains may have gaps, so starts go in the order of g's free
+        # coordinate: every plane below a start is finished before it
+        i, e = free[0]
+        done = set()
+        for k in sorted(planes, key=lambda k: k[i] * e):
+            below = planes[k]
+            while k not in done and any(islice(below, order - d)):
+                done.add(k)
+                k = times_g(k)
+                if (above := planes.get(k)) is None:
+                    above = planes[k] = [0] * order
+                _add_shifted(above, below, c, d)
+                below = above
+    else:
+        # g has order L: Q_k = (sum_{j<L} c^j q^(jd) P_{k-jg}) / (1 - c^L q^(Ld))
+        L = lcm(*(m // gcd(e, m) for e, m in zip(g, mods) if e))
+        sums: dict = {}
+        for k, p in planes.items():
+            for j in range(min(L, (order - 1) // d + 1)):
+                _add_shifted(sums.get(k) or sums.setdefault(k, [0] * order), p, c ** j, j * d)
+                k = times_g(k)
+        for p in sums.values():
+            _div_pass(p, INT, c ** L, L * d)
+        planes.clear()
+        planes.update(sums)
+    for k in [k for k, p in planes.items() if not any(p)]:
+        del planes[k]
+
+
 def poch_product(ring, order: int, factors: Iterable[tuple[object, int, int, int]]) -> Series:
     """Product of pochhammer symbols given as (elem, q_power, step, exponent).
 
     Each factor is (a; q**step)_infinity ** exponent truncated, with
     a = elem * q**q_power.  Negative exponents need q_power >= 1 so every
-    factor is invertible.  Each (1 - a*q**(k*step)) is one
-    `Series.mul_one_minus` or `div_one_minus` pass.
-    An elem equal to 1 or -1 is written as the int in every ring: the passes
-    compare it with ring.one and add or subtract without multiplying, so one
-    factor list serves every ring.
+    factor is invertible.  Each (1 - a*q**(k*step)) is one pass.
+    An elem equal to 1 or -1 is written as the int in every ring.
+
+    When every elem is a monomial c*g of the ring's group (``split_monomial``),
+    the product is built on planes, one int list per group element, and
+    assembled once at the end.  Otherwise each pass is a
+    `Series.mul_one_minus` or `div_one_minus` over ring elements.
     """
     s = Series.one(ring, order)
+    factors = list(factors)
     for elem, q_power, step, exponent in factors:
         if step < 1:
             raise ValueError("step must be positive")
         if exponent < 0 and q_power < 1:
             raise ValueError("non-invertible leading factor")
         if exponent > 0 and q_power < 0:
-            raise ValueError("negative exponent in factor")
+            raise ValueError("negative q-power in factor")
+    monomials = [ring.split_monomial(elem) for elem, *_ in factors]
+    if None in monomials:
+        for elem, q_power, step, exponent in factors:
+            for d in range(q_power, order, step):
+                for _ in range(abs(exponent)):
+                    s = s.mul_one_minus(elem, d) if exponent > 0 else s.div_one_minus(elem, d)
+        return s
+    planes = {(0,) * len(ring.mods): [1] + [0] * (order - 1)}
+    for (g, c), (_, q_power, step, exponent) in zip(monomials, factors):
         for d in range(q_power, order, step):
             for _ in range(abs(exponent)):
-                s = s.mul_one_minus(elem, d) if exponent > 0 else s.div_one_minus(elem, d)
+                _plane_pass(planes, order, ring.mods, g, c, d, exponent < 0)
+    s.coeffs = ring.from_planes(planes, order)
     return s
 
 

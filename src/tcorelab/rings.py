@@ -11,6 +11,12 @@ Three flavours cover every identity checked by this package:
 Ring objects expose ``zero``, ``one`` and ``from_int``; elements implement
 ordinary operator arithmetic and compare equal to plain integers where that
 makes sense, and then hash like them.
+
+Each ring is also a quotient of a group ring Z[G], G a product of cyclic and
+free abelian factors, with ``mods`` naming each factor's order (None when
+free).  ``split_monomial`` writes an element as c*g (a key for g, an int c),
+or gives None when it is not a monomial; ``from_planes`` maps a series held
+as one integer list per key of G ("planes") back to ring coefficients.
 """
 
 from __future__ import annotations
@@ -23,10 +29,19 @@ class IntegerRing:
     name = "integer"
     zero = 0
     one = 1
+    mods = ()
 
     @staticmethod
     def from_int(k: int) -> int:
         return k
+
+    @staticmethod
+    def split_monomial(elem: int) -> tuple[tuple[()], int]:
+        return (), elem
+
+    @staticmethod
+    def from_planes(planes: dict, order: int) -> list[int]:
+        return planes.get((), [0] * order)
 
 
 INT = IntegerRing()
@@ -186,6 +201,20 @@ class LaurentRing:
         e = self._norm_exp(tuple(exps.get(n, 0) for n in self.names))
         return Laurent(self, {e: coeff})
 
+    def split_monomial(self, elem) -> tuple[tuple[int, ...], int] | None:
+        if isinstance(elem, int):
+            return (0,) * len(self.names), elem
+        if elem.ring is not self or len(elem.terms) > 1:
+            return None
+        return next(iter(elem.terms.items()), ((0,) * len(self.names), 0))
+
+    def from_planes(self, planes: dict, order: int) -> list[Laurent]:
+        if not planes:
+            return [self.zero] * order
+        keys = list(planes)
+        return [Laurent(self, {k: c for k, c in zip(keys, column) if c})
+                for column in zip(*planes.values())]
+
 
 def fourth_root_ring(name: str = "y") -> LaurentRing:
     """Integer combinations of 1, y, y^2, y^3 with y^4 == 1."""
@@ -300,13 +329,36 @@ def _cyc5(a0: int, a1: int, a2: int, a3: int) -> Cyclotomic5:
 
 
 class Cyclotomic5Ring:
+    """Z[xi] as the image of Z[C5], xi^k the image of k mod 5."""
+
     name = "cyclotomic5"
     zero = Cyclotomic5((0, 0, 0, 0))
     one = Cyclotomic5((1, 0, 0, 0))
+    mods = (5,)
 
     @staticmethod
     def from_int(k: int) -> Cyclotomic5:
         return Cyclotomic5((k, 0, 0, 0))
+
+    @staticmethod
+    def split_monomial(elem) -> tuple[tuple[int], int] | None:
+        if isinstance(elem, int):
+            return (0,), elem
+        coords = elem.coords
+        # c*xi^4 is stored as (-c, -c, -c, -c)
+        if coords[0] and coords.count(coords[0]) == 4:
+            return (4,), -coords[0]
+        nonzero = [k for k, c in enumerate(coords) if c]
+        if len(nonzero) > 1:
+            return None
+        return ((nonzero[0],), coords[nonzero[0]]) if nonzero else ((0,), 0)
+
+    @staticmethod
+    def from_planes(planes: dict, order: int) -> list[Cyclotomic5]:
+        # Z[C5] -> Z[xi] is a ring map, so projecting the planes is exact
+        zeros = [0] * order
+        v = [planes.get((k,), zeros) for k in range(5)]
+        return [_cyc5(a - w, b - w, c - w, d - w) for a, b, c, d, w in zip(*v)]
 
     @staticmethod
     def xi(k: int = 1) -> Cyclotomic5:

@@ -27,7 +27,7 @@ from tcorelab.orbits import (
     theta_vector,
 )
 from tcorelab.partitions import Partition, enumerate_partitions
-from tcorelab.stats import core_srank_mod4, five_core_crank
+from tcorelab.stats import core_srank_mod4, five_core_crank, srank
 from tcorelab.cores import q_alpha
 
 from strategies import partitions_4_mod_5
@@ -76,8 +76,8 @@ class TestOrbitMaps:
             (5, 4),
             (4, 2, 1, 1, 1),
         ]
-        assert ob.crank_residues() == (0, 1, 2, 3, 4)
-        assert set(ob.srank_classes()) == {0}
+        assert tuple(map(five_core_crank, ob.members)) == (0, 1, 2, 3, 4)
+        assert {srank(m) % 4 for m in ob.members} == {0}
 
     def test_order_five_on_nine(self):
         for p in enumerate_partitions(9):
@@ -206,17 +206,9 @@ class TestOrbitObject:
             orbits.append(ob)
         assert len(orbits) == 6
         for ob in orbits:
-            assert ob.crank_residues() == (0, 1, 2, 3, 4)
-            assert len(set(ob.srank_classes())) == 1
+            assert tuple(map(five_core_crank, ob.members)) == (0, 1, 2, 3, 4)
+            assert len({srank(m) % 4 for m in ob.members}) == 1
         assert len(seen) == 30
-
-    def test_json_shape(self):
-        ob = orbit(P((3, 3, 3)), shifted=True)
-        data = ob.to_json()
-        assert data["c5"] == [0, 1, 2, 3, 4]
-        assert data["srank_mod4"] in (0, 2)
-        assert len(data["members"]) == 5
-        assert all(sum(m["parts"]) == 9 for m in data["members"])
 
     def test_unshifted_orbits_mix_srank(self):
         # the plain orbit map does not preserve srank in general; check it

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcorelab import qseries
 from tcorelab.partitions import enumerate_partitions
 from tcorelab.qseries import (
     Series,
@@ -251,3 +252,93 @@ class TestSift:
     def test_bad_residue(self):
         with pytest.raises(ValueError):
             partition_count_series(10).sift(5, 5)
+
+
+def pass_fold(ring, order: int, factors) -> Series:
+    """poch_product as one Series.mul_one_minus / div_one_minus per pass."""
+    s = Series.one(ring, order)
+    for elem, q_power, step, exponent in factors:
+        for d in range(q_power, order, step):
+            for _ in range(abs(exponent)):
+                s = s.mul_one_minus(elem, d) if exponent > 0 else s.div_one_minus(elem, d)
+    return s
+
+
+X = LaurentRing(("x",))
+XY = LaurentRing(("x", "y"))
+XW = LaurentRing(("x", "w"), cyclic={"w": 4})
+COEFFS = st.integers(min_value=-3, max_value=3)
+POWERS = st.integers(min_value=-3, max_value=3)
+
+MONOMIALS = {
+    "int": (INT, COEFFS),
+    "x": (X, st.builds(lambda c, e: X.monomial(c, x=e), COEFFS, POWERS)),
+    "xy": (XY, st.builds(lambda c, e, f: XY.monomial(c, x=e, y=f), COEFFS, POWERS, POWERS)),
+    # w-only monomials have finite order, the others infinite
+    "xw": (XW, st.builds(lambda c, e, f: XW.monomial(c, x=e, w=f), COEFFS, POWERS, POWERS)
+           | st.builds(lambda c, f: XW.monomial(c, w=f), COEFFS, POWERS)),
+    "y4": (Y4, st.builds(lambda c, e: Y4.monomial(c, y=e), COEFFS, POWERS)),
+    "cyc5": (CYC5, st.builds(lambda c, k: c * CYC5.xi(k), st.sampled_from([1, -1]) | COEFFS,
+                             st.integers(min_value=0, max_value=4))),
+}
+
+
+def planes_route(ring, order: int, factors) -> Series:
+    """poch_product with the element passes trapped, so only planes can run."""
+    def trap(*args):
+        raise AssertionError("element pass on a monomial factor list")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Series, "mul_one_minus", trap)
+        mp.setattr(Series, "div_one_minus", trap)
+        return poch_product(ring, order, factors)
+
+
+class TestPlanes:
+    @given(data=st.data(), ring_name=st.sampled_from(sorted(MONOMIALS)),
+           order=st.integers(min_value=1, max_value=40))
+    @settings(max_examples=150, deadline=None)
+    def test_planes_equal_the_pass_fold(self, data, ring_name, order):
+        ring, elems = MONOMIALS[ring_name]
+        factors = data.draw(factor_lists(elems | st.sampled_from([1, -1]), order))
+        assert all(ring.split_monomial(elem) is not None for elem, *_ in factors)
+        assert planes_route(ring, order, factors).coeffs == pass_fold(ring, order, factors).coeffs
+
+    @pytest.mark.parametrize("g", [3, -3])
+    def test_chains_with_gaps(self, g):
+        # 1 - x^6 q leaves the planes {0, 6}; dividing by x^(+-3) powers then
+        # walks the chain 0, 3, 6 (or 6, 3, 0) across the missing plane 3
+        order = 30
+        factors = [(X.monomial(x=6), 1, order, 1), (X.monomial(2, x=g), 1, 1, -2)]
+        assert planes_route(X, order, factors).coeffs == pass_fold(X, order, factors).coeffs
+
+
+class TestErrors:
+    BAD = [((1, 0, -1), "step must be positive"),
+           ((0, 1, -1), "non-invertible leading factor"),
+           ((-1, 1, 1), "negative q-power in factor")]
+
+    @pytest.mark.parametrize("route", ["planes", "elements"])
+    @pytest.mark.parametrize("bad, message", BAD)
+    def test_factors_are_checked_before_the_first_pass(self, monkeypatch, route, bad, message):
+        elem = Y4.monomial(y=1) if route == "planes" else 2 + Y4.monomial(y=1)
+        assert (Y4.split_monomial(elem) is None) == (route == "elements")
+
+        def trap(*args):
+            raise AssertionError("a pass ran before every factor was checked")
+
+        monkeypatch.setattr(Series, "mul_one_minus", trap)
+        monkeypatch.setattr(Series, "div_one_minus", trap)
+        monkeypatch.setattr(qseries, "_plane_pass", trap)
+        with pytest.raises(ValueError, match=message):
+            poch_product(Y4, 10, [(elem, 1, 1, 1), (elem, *bad)])
+
+    def test_single_pass_names_the_q_power(self):
+        with pytest.raises(ValueError, match="negative q-power in factor"):
+            Series.one(INT, 5).mul_one_minus(1, -1)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("elem", [1, 2 + Y4.monomial(y=1)])
+    def test_order_must_be_positive(self, order, elem):
+        with pytest.raises(ValueError, match="order must be positive"):
+            poch_product(Y4, order, [(elem, 1, 1, 1)])

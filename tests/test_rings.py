@@ -201,3 +201,28 @@ def test_integer_ring_protocol():
     assert INT.zero == 0
     assert INT.one == 1
     assert INT.from_int(-7) == -7
+
+
+class TestSplitMonomial:
+    def test_monomials_split_into_key_and_coefficient(self):
+        assert INT.split_monomial(-3) == ((), -3)
+        assert XW.split_monomial(XW.monomial(-2, x=-1, w=5)) == ((-1, 1), -2)
+        assert XW.split_monomial(1) == ((0, 0), 1)
+        assert XY.split_monomial(XY.zero) == ((0, 0), 0)
+        assert [CYC5.split_monomial(-CYC5.xi(k)) for k in range(5)] == [
+            ((k,), -1) for k in range(5)]
+        assert CYC5.split_monomial(CYC5.zero) == ((0,), 0)
+
+    def test_other_elements_do_not_split(self):
+        assert XY.split_monomial(XY.monomial(x=1) + XY.one) is None
+        assert XY.split_monomial(XW.monomial(x=1)) is None
+        assert CYC5.split_monomial(CYC5.xi(1) + CYC5.xi(2)) is None
+        assert CYC5.split_monomial(Cyclotomic5((1, 1, 1, 2))) is None
+
+    def test_planes_assemble_to_ring_coefficients(self):
+        # at q^2 all five planes are equal, which is 0 in Z[xi]
+        planes = {(k,): [0, 0, 2] for k in range(1, 4)} | {(0,): [1, 0, 2], (4,): [0, 3, 2]}
+        assert CYC5.from_planes(planes, 3) == [CYC5.one, 3 * CYC5.xi(4), CYC5.zero]
+        assert XY.from_planes({(1, -1): [0, 2]}, 2) == [XY.zero, XY.monomial(2, x=1, y=-1)]
+        assert XY.from_planes({}, 2) == [XY.zero] * 2
+        assert INT.from_planes({}, 2) == [0, 0]

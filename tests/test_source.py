@@ -181,6 +181,39 @@ def test_poch_product_builds_every_product():
     assert calls == [], f"factor passes called outside poch_product at {calls}"
 
 
+def _calls_named(*names):
+    return lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) in names
+
+
+def test_plane_kernels_serve_poch_product_only():
+    # the plane form (one int list per group element) is private to
+    # poch_product: its pass helper alone runs the shifted-add kernel, and
+    # poch_product alone runs that helper
+    path = next(path for path in SOURCES if path.name == "qseries.py")
+    assert set(_owners(path, _calls_named("_add_shifted"))) == {"qseries._plane_pass"}
+    assert _owners(path, _calls_named("_plane_pass")) == ["qseries.poch_product"]
+    others = [where for other in SOURCES if other != path
+              for where in _owners(other, lambda node: isinstance(node, ast.Name) and node.id
+                                   in ("_add_shifted", "_plane_pass"))]
+    assert others == []
+
+
+def test_qseries_imports_nothing_new():
+    # every module qseries imports is imported by another module of the
+    # package too, so the series code adds nothing to `import tcorelab`
+    def imported(path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        return ({alias.name for node in tree.body if isinstance(node, ast.Import)
+                 for alias in node.names}
+                | {node.module for node in tree.body if isinstance(node, ast.ImportFrom)
+                   and node.level == 0})
+
+    path = next(path for path in SOURCES if path.name == "qseries.py")
+    elsewhere = set().union(*(imported(other) for other in SOURCES if other != path))
+    assert imported(path) <= elsewhere, imported(path) - elsewhere
+
+
 def _owners(path, match):
     """module.Class.function, the innermost definition around each node of
     the file that match accepts (module for a node outside any)."""
