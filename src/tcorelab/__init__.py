@@ -37,7 +37,7 @@ from .partitions import (
     strip_to_core,
 )
 from .qseries import Series, partition_count_series, poch_product, theta_jtp
-from .rings import CYC5, INT, Cyclotomic5, Laurent, LaurentRing, fourth_root_ring
+from .rings import CYC5, INT, Cyclotomic5, Laurent, LaurentRing
 from .stats import (
     STATISTICS,
     ag_crank,

@@ -92,9 +92,6 @@ class Partition(tuple):
             return cls()
         return cls.from_parts([int(tok) for tok in text.split(",")])
 
-    def to_text(self) -> str:
-        return ",".join(map(str, self))
-
     def to_json(self) -> dict:
         return {"parts": list(self), "weight": self.weight}
 

@@ -6,13 +6,12 @@ order.  Infinite products are built factor by factor: each factor
 (1 - elem*q**d) is one O(order) pass, so no convolutions are needed for
 pochhammer-style series.
 
-`poch_product` builds every product.  When each factor's elem is a monomial
-c*g of the ring's group G (every product in the package), the series is
-held as "planes", one int list per element of G, and a pass maps whole
-lists: multiplying by g only re-indexes the planes.  The planes are turned
-into ring coefficients once, at the end.  A factor list with any other elem
-runs `Series.mul_one_minus` / `div_one_minus`, one pass over ring elements
-per factor; those stay the single-pass API and the route tests compare the
+`poch_product` builds every product.  Each factor's elem is a monomial
+c*g of the ring's group G, so the series is held as "planes", one int list
+per element of G, and a pass maps whole lists: multiplying by g only
+re-indexes the planes.  The planes are turned into ring coefficients once,
+at the end.  `Series.mul_one_minus` / `div_one_minus` run one pass over ring
+elements; they stay the single-pass API and the route tests compare the
 planes with.
 """
 
@@ -112,7 +111,7 @@ class Series:
         if d < 0:
             raise ValueError("negative q-power in factor")
         s = Series(self.ring, self.order, self.coeffs)
-        _mul_pass(s.coeffs, self.ring, elem, d)
+        _mul_pass(s.coeffs, elem, d)
         return s
 
     def div_one_minus(self, elem, d: int) -> "Series":
@@ -120,7 +119,7 @@ class Series:
         if d < 1:
             raise ValueError("division needs a positive q-power")
         s = Series(self.ring, self.order, self.coeffs)
-        _div_pass(s.coeffs, self.ring, elem, d)
+        _div_pass(s.coeffs, elem, d)
         return s
 
     def inverse(self) -> "Series":
@@ -166,11 +165,11 @@ class Series:
         return f"Series[{self.ring.name}, O(q^{self.order})]({shown}{tail})"
 
 
-def _mul_pass(c: list, ring, elem, d: int) -> None:
+def _mul_pass(c: list, elem, d: int) -> None:
     """c *= (1 - elem * q**d) in place, d >= 0."""
-    if elem == ring.one:
+    if elem == 1:
         step = operator.sub
-    elif -elem == ring.one:
+    elif elem == -1:
         step = operator.add
     else:
         def step(x, y):
@@ -179,12 +178,12 @@ def _mul_pass(c: list, ring, elem, d: int) -> None:
     c[d:] = list(map(step, c[d:], c))
 
 
-def _div_pass(c: list, ring, elem, d: int) -> None:
+def _div_pass(c: list, elem, d: int) -> None:
     """c /= (1 - elem * q**d) in place, d >= 1: c[n] += elem * c[n - d]."""
     order = len(c)
-    if elem == ring.one:
+    if elem == 1:
         step = operator.add
-    elif -elem == ring.one:
+    elif elem == -1:
         def step(prev, x):
             return x - prev
     else:
@@ -229,7 +228,7 @@ def _plane_pass(planes: dict, order: int, mods: tuple, g: tuple, c: int, d: int,
     if not any(g):
         kernel = _div_pass if divide else _mul_pass
         for p in planes.values():
-            kernel(p, INT, c, d)
+            kernel(p, c, d)
     elif not divide:
         # each new plane P_k - c q^d P_{k-g}, read from copies of the old ones
         for k, old in [(times_g(k), p[: order - d]) for k, p in planes.items()]:
@@ -259,7 +258,7 @@ def _plane_pass(planes: dict, order: int, mods: tuple, g: tuple, c: int, d: int,
                 _add_shifted(sums.get(k) or sums.setdefault(k, [0] * order), p, c ** j, j * d)
                 k = times_g(k)
         for p in sums.values():
-            _div_pass(p, INT, c ** L, L * d)
+            _div_pass(p, c ** L, L * d)
         planes.clear()
         planes.update(sums)
     for k in [k for k, p in planes.items() if not any(p)]:
@@ -274,13 +273,13 @@ def poch_product(ring, order: int, factors: Iterable[tuple[object, int, int, int
     factor is invertible.  Each (1 - a*q**(k*step)) is one pass.
     An elem equal to 1 or -1 is written as the int in every ring.
 
-    When every elem is a monomial c*g of the ring's group (``split_monomial``),
+    Every elem must be a monomial c*g of the ring's group (``split_monomial``);
     the product is built on planes, one int list per group element, and
-    assembled once at the end.  Otherwise each pass is a
-    `Series.mul_one_minus` or `div_one_minus` over ring elements.
+    assembled once at the end.  Any other elem is a ValueError, raised with
+    the other factor checks before the first pass.
     """
     s = Series.one(ring, order)
-    factors = list(factors)
+    monomials = []
     for elem, q_power, step, exponent in factors:
         if step < 1:
             raise ValueError("step must be positive")
@@ -288,15 +287,11 @@ def poch_product(ring, order: int, factors: Iterable[tuple[object, int, int, int
             raise ValueError("non-invertible leading factor")
         if exponent > 0 and q_power < 0:
             raise ValueError("negative q-power in factor")
-    monomials = [ring.split_monomial(elem) for elem, *_ in factors]
-    if None in monomials:
-        for elem, q_power, step, exponent in factors:
-            for d in range(q_power, order, step):
-                for _ in range(abs(exponent)):
-                    s = s.mul_one_minus(elem, d) if exponent > 0 else s.div_one_minus(elem, d)
-        return s
+        if (monomial := ring.split_monomial(elem)) is None:
+            raise ValueError(f"factor elem {elem!r} is not a monomial of {ring.name}")
+        monomials.append((*monomial, q_power, step, exponent))
     planes = {(0,) * len(ring.mods): [1] + [0] * (order - 1)}
-    for (g, c), (_, q_power, step, exponent) in zip(monomials, factors):
+    for g, c, q_power, step, exponent in monomials:
         for d in range(q_power, order, step):
             for _ in range(abs(exponent)):
                 _plane_pass(planes, order, ring.mods, g, c, d, exponent < 0)

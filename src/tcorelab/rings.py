@@ -146,16 +146,6 @@ class Laurent:
                 return hash(coeff)
         return hash((self.ring.names, tuple(sorted(terms.items()))))
 
-    def unit_inverse(self) -> "Laurent":
-        """Inverse of a monomial with coefficient +-1."""
-        if len(self.terms) != 1:
-            raise ValueError(f"{self} is not a unit monomial")
-        (exps, coeff), = self.terms.items()
-        if coeff not in (1, -1):
-            raise ValueError(f"{self} is not a unit monomial")
-        inv = self.ring._norm_exp(tuple(-e for e in exps))
-        return Laurent(self.ring, {inv: coeff})
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
 
@@ -214,11 +204,6 @@ class LaurentRing:
         keys = list(planes)
         return [Laurent(self, {k: c for k, c in zip(keys, column) if c})
                 for column in zip(*planes.values())]
-
-
-def fourth_root_ring(name: str = "y") -> LaurentRing:
-    """Integer combinations of 1, y, y^2, y^3 with y^4 == 1."""
-    return LaurentRing((name,), cyclic={name: 4})
 
 
 class Cyclotomic5:

@@ -554,9 +554,6 @@ def _chk_g3(params):
     ring = LaurentRing(("x",))
     x, xi = ring.monomial(x=1), ring.monomial(x=-1)
 
-    def crank_shape(n: int) -> Series:
-        return poch_product(ring, n, crank_factors(x, xi)).scaled(x + 1 + xi)
-
     # product identity for the shifted hexagonal theta (the displayed form
     # without the linear exponent has mismatched constant terms; the change
     # of variables produces n^2 + nm + m^2 + n + m)
@@ -569,21 +566,15 @@ def _chk_g3(params):
     ).scaled(x + 1 + xi)
     expect_same(lhs, rhs, route="hexagonal-theta")
 
-    # n-vector sum over 3-cores, divided by the quotient legs; the numerator
-    # must also agree with the shifted hexagonal theta
+    # n-vector sum over 3-cores: "numerator / quotient legs = crank shape",
+    # multiplied through by the legs (q^3;q^3)(x^3q^3;q^3)(q^3/x^3;q^3)
     span = range(-isqrt(order) - 2, isqrt(order) + 3)
     numerator = Series.from_terms(ring, order, (
         (q3(n1, n2), ring.monomial(x=3 * n1) + ring.monomial(x=3 * n2 + 1)
          + ring.monomial(x=-3 * n2 - 1))
         for n1 in span for n2 in span
     ))
-    expect_same(numerator, lhs, route="numerator-vs-theta")
-    legs = poch_product(
-        ring, order,
-        [(1, 3, 3, -1), (ring.monomial(x=3), 3, 3, -1),
-         (ring.monomial(x=-3), 3, 3, -1)],
-    )
-    expect_same(numerator * legs, crank_shape(order), route="n-vector-sum")
+    expect_same(numerator, rhs, route="n-vector-sum")
 
     # direct tally over partitions: the 3-core charges n1, n2 and the part
     # counts k1, k2 of the 3-quotient components 1 and 2
@@ -594,8 +585,8 @@ def _chk_g3(params):
 
     tally_order = params["tally_order"]
     names = ("charge:3:1", "charge:3:2", "quotient-parts:3:1", "quotient-parts:3:2")
-    expect_same(_tally_series(ring, tally_order, names, term), crank_shape(tally_order),
-                route="tally")
+    crank_shape = poch_product(ring, tally_order, crank_factors(x, xi)).scaled(x + 1 + xi)
+    expect_same(_tally_series(ring, tally_order, names, term), crank_shape, route="tally")
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +631,10 @@ def _chk_5core(params):
     tally = core_tally(5, limit, "srank-mod-4", "five-core-crank")
     count, by_crank = _sum_down(tally, 0), _sum_down(tally, 0, 2)
     # alpha-form sum equals the sifted 5-core counts, both by direct
-    # enumeration of alpha space and through the product series
-    alpha_counts = _alpha_form_counts(order)
+    # enumeration of alpha space and through the product series; the counts
+    # below k do not depend on the bound, so one walk serves both orders
+    po = params["psift_order"]
+    alpha_counts = _alpha_form_counts(max(order, po))
     if alpha_counts[0] != 0:
         fail({"route": "alpha-form", "reason": "Q(alpha)=0 attained"})
     for k in range(1, order):
@@ -653,9 +646,8 @@ def _chk_5core(params):
         if sifted.coeff(n) != count[5 * n + 4]:
             fail({"route": "series-sift", "n": n})
     # p(5n+4) generating function through the alpha sum
-    po = params["psift_order"]
     lhs = partition_count_series(5 * po).sift(5, 4).times_q(1)
-    alpha_series = Series(INT, po, _alpha_form_counts(po))
+    alpha_series = Series(INT, po, alpha_counts)
     rhs = poch_product(INT, po, [(1, 1, 1, -5)]) * alpha_series
     expect_same(lhs, rhs, po, route="p-sift")
     # a5(5n+4) = 5 a5(n); crank classes are equal fifths
@@ -981,14 +973,14 @@ def _chk_fj(params):
         lhs = _tally_series(ring, order, names,
                             lambda c, jj, m: ring.monomial(c, x=m) if jj == j else ring.zero)
         expect_same(lhs, product.times_q(shift), j=j)
-    # cyclotomic specialization: product versus the exact divided theta form
+    # cyclotomic specialization: the product times (q^10;q^10) versus the
+    # exact theta form
     xi_order = params["xi_order"]
     lhs = poch_product(
         CYC5, xi_order,
-        [(CYC5.xi(1), 2, 2, -1), (CYC5.xi(4), 2, 2, -1)],
+        [(CYC5.xi(1), 2, 2, -1), (CYC5.xi(4), 2, 2, -1), (1, 10, 10, 1)],
     )
-    rhs = _xi_theta(xi_order) * poch_product(CYC5, xi_order, [(1, 10, 10, -1)])
-    expect_same(lhs, rhs, route="cyclotomic")
+    expect_same(lhs, _xi_theta(xi_order), route="cyclotomic")
 
 
 _THM5_CASES = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -164,21 +165,42 @@ def test_each_factor_list_is_written_once():
 
 
 def test_poch_product_builds_every_product():
-    # every product in the package goes through poch_product, which runs
-    # each factor as one mul_one_minus / div_one_minus pass
-    calls = []
+    # every product in the package goes through poch_product, which runs its
+    # factor passes on planes; the single-pass API (mul_one_minus /
+    # div_one_minus) stays for the tests' reference route, and no module of
+    # the package calls it
     builders = 0
+    calls = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        builder = [node for node in ast.walk(tree)
-                   if isinstance(node, ast.FunctionDef) and node.name == "poch_product"]
-        builders += len(builder)
-        inside = {id(node) for fn in builder for node in ast.walk(fn)}
+        builders += sum(isinstance(node, ast.FunctionDef) and node.name == "poch_product"
+                        for node in ast.walk(tree))
         calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and id(node) not in inside
+                  if isinstance(node, ast.Attribute)
                   and node.attr in ("mul_one_minus", "div_one_minus")]
     assert builders == 1
-    assert calls == [], f"factor passes called outside poch_product at {calls}"
+    assert calls == [], f"single factor passes called at {calls}"
+
+
+def test_benchmark_tracer_wraps_existing_methods():
+    # perfbench/tracing.py wraps the methods in its METHODS table by name,
+    # through vars(cls); a renamed or removed one makes a traced benchmark
+    # pass (--trace 1) die with a KeyError.  The table is read from the file,
+    # so the benchmark harness is not imported
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["METHODS"])
+    assert methods
+    missing = []
+    for layer, classes in methods.items():
+        module = importlib.import_module(f"tcorelab.{layer}")
+        for cls_name, names in classes.items():
+            cls = getattr(module, cls_name, None)
+            missing += [f"{layer}.{cls_name}.{name}" for name in names
+                        if not isinstance(cls, type) or name not in vars(cls)]
+    assert missing == [], f"traced methods not found: {missing}"
 
 
 def _calls_named(*names):

@@ -22,6 +22,8 @@ from tcorelab.cli import main
 from tcorelab.cores import core_weight_from_vector, iter_core_vectors
 from tcorelab.orbits import orbit_map, orbit_map_s
 from tcorelab.partitions import BoundExceededError, Partition, enumerate_partitions, is_t_core
+from tcorelab.qseries import Series
+from tcorelab.rings import CYC5
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -646,6 +648,27 @@ class TestRegistry:
         finally:
             tables.clear_memo()
         assert (report.status, report.witness) == ("fail", {"route": "tally", "q_power": 5})
+
+    def test_g3_n_vector_sum_reads_q3(self, monkeypatch):
+        # the 3-core with n-vector (-1, 1, 0) moved from weight 4 to 5: the
+        # n-vector sum no longer equals the crank product times the legs
+        q3 = verify.q3
+        monkeypatch.setattr(verify, "q3", lambda n1, n2: q3(n1, n2) + ((n1, n2) == (1, 0)))
+        report = verify.run_check("CHK-G3")
+        assert (report.status, report.witness) == (
+            "fail", {"route": "n-vector-sum", "q_power": 4})
+
+    def test_fj_cyclotomic_route_reads_the_theta_form(self, monkeypatch):
+        # one stray xi q^6 in the theta form: the cyclotomic product times
+        # (q^10;q^10) no longer matches it there
+        xi_theta = verify._xi_theta
+
+        def perturbed(order):
+            return xi_theta(order) + Series.from_terms(CYC5, order, [(6, CYC5.xi(1))])
+
+        monkeypatch.setattr(verify, "_xi_theta", perturbed)
+        report = verify.run_check("CHK-FJ", order=10, xi_order=20)
+        assert (report.status, report.witness) == ("fail", {"route": "cyclotomic", "q_power": 6})
 
     @pytest.mark.parametrize("check_id, name, bounds, route", [
         ("CHK-5CORE", "theta_vector", {"order": 10, "psift_order": 10, "rel_n": 10}, "theta"),
