@@ -21,6 +21,7 @@ form Q(alpha) then gives the core weight as 5*Q(alpha) - 1.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
@@ -551,3 +552,91 @@ def iter_core_vectors(t: int, max_weight: int) -> Iterator[tuple[tuple[int, ...]
         i += 1
         if i < inner:
             ranges[i] = iter(span(i, partial2[i]))
+
+
+def core_vector_counts(t: int, max_weight: int) -> Counter:
+    """Counts of (weight, (weight - (0,1,..,t-1).n) mod t) over the n-vectors
+    of the t-cores of weight <= max_weight; the weight formula makes every
+    residue 0.
+
+    The doubled weight is a sum of one cost t*x^2 + 2*i*x per coordinate, so
+    the lattice is counted one coordinate at a time, as the constant term in
+    z of prod_i sum_x z^x q^((t*x^2 + 2*i*x)/2).  After coordinates 0..i the
+    state is one plane per (sigma, rho), sigma the sum of those coordinates
+    and rho their (0,1,..,t-1).n mod t: a list of counts by partial doubled
+    weight in steps of 2, as every such weight has the parity of t*sigma.
+    Each coordinate value adds a plane, shifted by its cost, onto another in
+    one C-level map.  The last coordinate is -sigma.
+
+    A plane's window runs from the least cost of coordinates 0..i summing to
+    sigma up to the budget less the least cost of the remaining coordinates
+    summing to -sigma.  Both are exact tables, so no plane is built whose
+    sigma cannot be cancelled within the budget.  `iter_core_vectors` is the
+    oracle.
+    """
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    counts: Counter = Counter()
+    if max_weight < 0:
+        return counts
+    limit2 = 2 * max_weight
+    last = t - 1
+    # coordinate i costs at least min(0, t - 2i), so within the budget no
+    # coordinate costs more than cap, and none lies outside -reach..reach
+    cap = limit2 + sum(max(0, 2 * i - t) for i in range(t))
+    reach = (last + isqrt(last * last + t * cap)) // t
+    xs = range(-reach, reach + 1)
+
+    def least(before: dict[int, int], i: int) -> dict[int, int]:
+        # least cost by sum, once coordinate i joins the coordinates before
+        out: dict[int, int] = {}
+        for s, c in before.items():
+            for x in xs:
+                v = c + t * x * x + 2 * i * x
+                if v <= cap and v < out.get(s + x, v + 1):
+                    out[s + x] = v
+        return out
+
+    # prefix[i]: least cost of coordinates 0..i by their sum; suffix[i]:
+    # least cost of coordinates i+1..t-1 by their sum
+    prefix = [least({0: 0}, 0)]
+    for i in range(1, last):
+        prefix.append(least(prefix[-1], i))
+    suffix = [least({0: 0}, last)]
+    for i in range(last - 1, 0, -1):
+        suffix.append(least(suffix[-1], i))
+    suffix.reverse()
+
+    lows, planes = {0: 0}, {(0, 0): [1]}
+    for i in range(last):
+        rest = suffix[i]
+        # the window of sum s runs from prefix[i][s] up to tops[s]; a plane
+        # is built only once a shift lands in it
+        tops = {s: limit2 - rest[-s] for s in prefix[i] if -s in rest}
+        grown: dict[tuple[int, int], list[int]] = {}
+        for (s, rho), plane in planes.items():
+            for x in xs:
+                top = tops.get(s + x)
+                shift = lows[s] + t * x * x + 2 * i * x
+                if top is None or shift > top:
+                    continue
+                lo = prefix[i][s + x]
+                key = (s + x, (rho + i * x) % t)
+                if (target := grown.get(key)) is None:
+                    target = grown[key] = [0] * ((top - lo) // 2 + 1)
+                # the slice ends at the window's top, and the map with it
+                j = (shift - lo) // 2
+                k = j + len(plane)
+                target[j:k] = map(add, target[j:k], plane)
+        lows, planes = prefix[i], grown
+    # by the residue rho of the whole vector, counts by weight
+    rows = [[0] * (max_weight + 1) for _ in range(t)]
+    for (s, rho), plane in planes.items():
+        w = (lows[s] + t * s * s - 2 * last * s) // 2
+        row = rows[(rho - last * s) % t]
+        row[w:w + len(plane)] = map(add, row[w:w + len(plane)], plane)
+    for rho, row in enumerate(rows):
+        for w, c in enumerate(row):
+            if c:
+                counts[w, (w - rho) % t] += c
+    return counts

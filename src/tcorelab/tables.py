@@ -1,9 +1,9 @@
 """Per-weight statistic tables, t-core tallies and the classification tables.
 
 The checks read partitions and statistic values from one `WeightTable` per
-weight and t-core counts from one `core_tally` walk; both are kept for the
-life of the process, until `clear_memo`.  A weight table is built from the
-tables of the lower weights, never by enumerating its weight.
+weight and the statistics of t-cores from one `core_tally` walk; both are
+kept for the life of the process, until `clear_memo`.  A weight table is
+built from the tables of the lower weights, never by enumerating its weight.
 
 Table 1 groups partitions by (srank mod 4, St-crank mod 5); Table 2 lists
 the orbits of the shifted orbit map with the 5-core crank as column index,
@@ -324,15 +324,6 @@ def _five_core_crank_at(vec: tuple[int, ...], w: int) -> int | None:
     return stats.five_core_crank_from_vector(vec) if w % 5 == 4 else None
 
 
-def _charge_residues(t: int, walk: Iterator) -> Iterator:
-    """(weight - (0,1,..,t-1).n) mod t along the walk, which the weight
-    formula makes 0."""
-    vecs, weights = tee(walk)
-    dots = map(sum, map(map, repeat(operator.mul), repeat(range(t)), _vectors(vecs)))
-    gaps = map(operator.sub, map(operator.itemgetter(1), weights), dots)
-    return map(operator.mod, gaps, repeat(t))
-
-
 # Columns of the t-core tallies.  Each entry maps t and a stream of
 # (n-vector, weight) pairs to the stream of its values, so a fill runs in
 # C-level iterators where it can.  Entries are looked up when a tally is
@@ -342,7 +333,6 @@ CORE_COLUMNS: dict[str, Callable[[int, Iterator], Iterator]] = {
     "srank-mod-4": lambda t, walk: map(partial(stats.core_srank_mod4, t), _vectors(walk)),
     "five-core-crank": lambda t, walk: starmap(_five_core_crank_at, walk),
     "bg-rank": lambda t, walk: map(stats.bg_rank, map(phi2_inv, _vectors(walk))),
-    "charge-residue": _charge_residues,
 }
 
 

@@ -25,6 +25,7 @@ from .cores import (
     CoreQuotient,
     _partition_from_colors,
     alpha_from_n,
+    core_vector_counts,
     core_weight_from_vector,
     five_core_beads,
     iter_core_vectors,
@@ -488,9 +489,10 @@ def _chk_tcoregf(params):
     order, enum_n = params["order"], params["enum_n"]
     top = max(order - 1, enum_n)
     for t in range(params["t_min"], params["t_max"] + 1):
+        # the counter rejects t < 2 before the product builder sees it
+        tally = core_vector_counts(t, top)
         series = t_core_series(t, order)
-        tally = core_tally(t, top, "charge-residue")
-        if off := [w for w, residue in tally if residue and w <= top]:
+        if off := [w for w, residue in tally if residue]:
             fail({"t": t, "weight": min(off), "reason": "weight residue mismatch"})
         vec_counts = [tally[(n, 0)] for n in range(top + 1)]
         if (n := series.first_difference(Series(INT, order, vec_counts))) is not None:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tcorelab import tables
 from tcorelab.cores import (
     CoreQuotient,
     _charges_and_bead_parts,
@@ -15,6 +17,7 @@ from tcorelab.cores import (
     alpha_from_n,
     capital_phi,
     capital_phi_inv,
+    core_vector_counts,
     core_weight_from_vector,
     iter_core_vectors,
     n_from_alpha,
@@ -297,19 +300,31 @@ class TestCounting:
             assert list(iter_core_vectors(t, max_weight)) == list(
                 recursive_core_vectors(t, max_weight))
 
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.integers(2, 9), max_weight=st.integers(-1, 45))
+    def test_lattice_counts_match_the_walk(self, t, max_weight):
+        walked = Counter(
+            (w, (w - sum(i * x for i, x in enumerate(nvec))) % t)
+            for nvec, w in iter_core_vectors(t, max_weight))
+        counted = core_vector_counts(t, max_weight)
+        assert set(counted) == set(walked)
+        assert counted == walked
+
     def test_bad_t(self):
         with pytest.raises(ValueError):
             list(iter_core_vectors(1, 5))
+        with pytest.raises(ValueError, match="^t must be at least 2$"):
+            core_vector_counts(1, 5)
 
     def test_two_cores_are_staircases(self):
         triangulars = {k * (k + 1) // 2 for k in range(12)}
-        tally = tables.core_tally(2, 40, "charge-residue")
+        tally = core_vector_counts(2, 40)
         for n in range(41):
             assert tally[(n, 0)] == (1 if n in triangulars else 0)
             assert count_t_cores_by_filter(n, 2) == (1 if n in triangulars else 0)
 
     def test_five_core_counts(self):
-        tally = tables.core_tally(5, 9, "charge-residue")
+        tally = core_vector_counts(5, 9)
         assert (tally[(4, 0)], tally[(9, 0)], tally[(5, 0)]) == (5, 5, 2)
         assert [count_t_cores_by_filter(n, 5) for n in (4, 9, 5)] == [5, 5, 2]
 
@@ -318,7 +333,7 @@ class TestCounting:
             by_vector = [0] * 21
             for _, w in iter_core_vectors(t, 20):
                 by_vector[w] += 1
-            tally = tables.core_tally(t, 20, "charge-residue")
+            tally = core_vector_counts(t, 20)
             for n in range(21):
                 assert by_vector[n] == tally[(n, 0)]
                 assert by_vector[n] == count_t_cores_by_filter(n, t)

@@ -23,7 +23,7 @@ from tcorelab.cores import core_weight_from_vector, iter_core_vectors
 from tcorelab.orbits import orbit_map, orbit_map_s
 from tcorelab.partitions import BoundExceededError, Partition, enumerate_partitions, is_t_core
 from tcorelab.qseries import Series
-from tcorelab.rings import CYC5
+from tcorelab.rings import CYC5, INT
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -281,16 +281,14 @@ PARTITION_CORE_COLUMNS = {
 
 class TestCoreTally:
     @settings(max_examples=40, deadline=None)
-    @given(t=st.integers(2, 7), limit=st.integers(-1, 24), fresh=st.booleans())
-    def test_weight_counts_match_the_partition_filter(self, t, limit, fresh):
-        if fresh:
-            tables.clear_memo()
-        tally = tables.core_tally(t, limit, "charge-residue")
+    @given(t=st.integers(2, 7), limit=st.integers(-1, 24))
+    def test_weight_counts_match_the_partition_filter(self, t, limit):
+        tally = cores.core_vector_counts(t, limit)
         assert all(residue == 0 for _, residue in tally)
         counts = verify._sum_down(tally, 0)
-        # the walk may run past the limit, never by t or more
-        assert max(counts, default=-1) < limit + t
-        for n in range(max([limit, *counts]) + 1):
+        # unlike a core tally, the lattice count stops at the limit
+        assert max(counts, default=-1) <= limit
+        for n in range(limit + 1):
             assert counts[n] == filter_count(n, t), (t, n)
 
     @settings(max_examples=30, deadline=None)
@@ -602,6 +600,44 @@ class TestRegistry:
         report = verify.run_check("CHK-TCOREGF", order=20, enum_n=12)
         assert (report.status, report.witness) == (
             "fail", {"t": 2, "n": 3, "filtered": 0, "vectors": 1})
+
+    def test_tcoregf_series_fault_witness(self, monkeypatch):
+        # a stray q^7 in the 3-core product; the n-vector count is the witness
+        t_core_series = verify.t_core_series
+
+        def stray(t, order):
+            series = t_core_series(t, order)
+            if t == 3:
+                return series + Series(INT, order, [0] * 7 + [1])
+            return series
+
+        monkeypatch.setattr(verify, "t_core_series", stray)
+        report = verify.run_check("CHK-TCOREGF", order=20, enum_n=12)
+        assert (report.status, report.witness) == (
+            "fail", {"t": 3, "n": 7, "series": 1, "vectors": 0})
+
+    def test_tcoregf_residue_fault_witness(self, monkeypatch):
+        # one 4-core of weight 6 counted under residue 1
+        counts = verify.core_vector_counts
+
+        def off_residue(t, max_weight):
+            tally = counts(t, max_weight)
+            if t == 4:
+                tally[(6, 0)] -= 1
+                tally[(6, 1)] += 1
+            return tally
+
+        monkeypatch.setattr(verify, "core_vector_counts", off_residue)
+        report = verify.run_check("CHK-TCOREGF", order=20, enum_n=12)
+        assert (report.status, report.witness) == (
+            "fail", {"t": 4, "weight": 6, "reason": "weight residue mismatch"})
+
+    @pytest.mark.parametrize("check_id", ["CHK-TCOREGF", "CHK-THM4", "CHK-SRTQ"])
+    @pytest.mark.parametrize("t_min", [0, 1])
+    def test_t_below_two_is_an_error(self, check_id, t_min):
+        report = verify.run_check(check_id, t_min=t_min, t_max=2)
+        assert (report.status, report.witness) == (
+            "error", {"error": "t must be at least 2"})
 
     @pytest.mark.parametrize("fault", THM3_FAULTS)
     def test_thm3_fault_witnesses(self, fault, monkeypatch):
