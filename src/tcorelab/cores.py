@@ -570,8 +570,9 @@ def core_vector_counts(t: int, max_weight: int) -> Counter:
 
     A plane's window runs from the least cost of coordinates 0..i summing to
     sigma up to the budget less the least cost of the remaining coordinates
-    summing to -sigma.  Both are exact tables, so no plane is built whose
-    sigma cannot be cancelled within the budget.  `iter_core_vectors` is the
+    summing to -sigma.  Both tables are exact on every run of coordinates
+    that a vector within the budget has, so no plane is built whose sigma
+    cannot be cancelled within the budget.  `iter_core_vectors` is the
     oracle.
     """
     if t < 2:
@@ -582,7 +583,8 @@ def core_vector_counts(t: int, max_weight: int) -> Counter:
     limit2 = 2 * max_weight
     last = t - 1
     # coordinate i costs at least min(0, t - 2i), so within the budget no
-    # coordinate costs more than cap, and none lies outside -reach..reach
+    # run of coordinates costs more than cap, and no coordinate lies outside
+    # -reach..reach
     cap = limit2 + sum(max(0, 2 * i - t) for i in range(t))
     reach = (last + isqrt(last * last + t * cap)) // t
     xs = range(-reach, reach + 1)
