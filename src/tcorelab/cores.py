@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
 from operator import add, neg
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .partitions import (
     Partition,
@@ -554,19 +554,22 @@ def iter_core_vectors(t: int, max_weight: int) -> Iterator[tuple[tuple[int, ...]
             ranges[i] = iter(span(i, partial2[i]))
 
 
-def core_vector_counts(t: int, max_weight: int) -> Counter:
-    """Counts of (weight, (weight - (0,1,..,t-1).n) mod t) over the n-vectors
-    of the t-cores of weight <= max_weight; the weight formula makes every
-    residue 0.
+def core_vector_counts(t: int, max_weight: int,
+                       *labels: tuple[Callable[[int, int], int], int | None]) -> Counter:
+    """Counts of (weight, *values) over the n-vectors n of the t-cores of
+    weight <= max_weight, one value per label.  A label is a pair (term,
+    modulus), and its value is the sum of term(i, n_i) over the
+    coordinates, mod the modulus, or exact when the modulus is None.
 
     The doubled weight is a sum of one cost t*x^2 + 2*i*x per coordinate, so
     the lattice is counted one coordinate at a time, as the constant term in
-    z of prod_i sum_x z^x q^((t*x^2 + 2*i*x)/2).  After coordinates 0..i the
-    state is one plane per (sigma, rho), sigma the sum of those coordinates
-    and rho their (0,1,..,t-1).n mod t: a list of counts by partial doubled
-    weight in steps of 2, as every such weight has the parity of t*sigma.
-    Each coordinate value adds a plane, shifted by its cost, onto another in
-    one C-level map.  The last coordinate is -sigma.
+    z of prod_i sum_x z^x q^((t*x^2 + 2*i*x)/2); each label is a sum of one
+    term per coordinate too.  After coordinates 0..i the state is one plane
+    per (values, sigma), sigma the sum of those coordinates and values their
+    label sums: a list of counts by partial doubled weight in steps of 2, as
+    every such weight has the parity of t*sigma.  Each coordinate value adds
+    a plane, shifted by its cost, onto another in one C-level map, and its
+    label terms, found once per coordinate value, step the values.
 
     A plane's window runs from the least cost of coordinates 0..i summing to
     sigma up to the budget less the least cost of the remaining coordinates
@@ -599,46 +602,49 @@ def core_vector_counts(t: int, max_weight: int) -> Counter:
                     out[s + x] = v
         return out
 
+    def plus(values: tuple[int, ...], deltas: list[int]) -> tuple[int, ...]:
+        return tuple(v + d if m is None else (v + d) % m
+                     for v, d, (_, m) in zip(values, deltas, labels))
+
     # prefix[i]: least cost of coordinates 0..i by their sum; suffix[i]:
     # least cost of coordinates i+1..t-1 by their sum
     prefix = [least({0: 0}, 0)]
-    for i in range(1, last):
+    for i in range(1, t):
         prefix.append(least(prefix[-1], i))
-    suffix = [least({0: 0}, last)]
-    for i in range(last - 1, 0, -1):
+    suffix = [{0: 0}]
+    for i in range(last, 0, -1):
         suffix.append(least(suffix[-1], i))
     suffix.reverse()
 
-    lows, planes = {0: 0}, {(0, 0): [1]}
-    for i in range(last):
-        rest = suffix[i]
-        # the window of sum s runs from prefix[i][s] up to tops[s]; a plane
-        # is built only once a shift lands in it
-        tops = {s: limit2 - rest[-s] for s in prefix[i] if -s in rest}
-        grown: dict[tuple[int, int], list[int]] = {}
-        for (s, rho), plane in planes.items():
-            for x in xs:
-                top = tops.get(s + x)
-                shift = lows[s] + t * x * x + 2 * i * x
-                if top is None or shift > top:
-                    continue
-                lo = prefix[i][s + x]
-                key = (s + x, (rho + i * x) % t)
-                if (target := grown.get(key)) is None:
-                    target = grown[key] = [0] * ((top - lo) // 2 + 1)
-                # the slice ends at the window's top, and the map with it
-                j = (shift - lo) // 2
-                k = j + len(plane)
-                target[j:k] = map(add, target[j:k], plane)
-        lows, planes = prefix[i], grown
-    # by the residue rho of the whole vector, counts by weight
-    rows = [[0] * (max_weight + 1) for _ in range(t)]
-    for (s, rho), plane in planes.items():
-        w = (lows[s] + t * s * s - 2 * last * s) // 2
-        row = rows[(rho - last * s) % t]
-        row[w:w + len(plane)] = map(add, row[w:w + len(plane)], plane)
-    for rho, row in enumerate(rows):
-        for w, c in enumerate(row):
-            if c:
-                counts[w, (w - rho) % t] += c
+    lows, planes = {0: 0}, {(0,) * len(labels): {0: [1]}}
+    for i in range(t):
+        rest, pre = suffix[i], prefix[i]
+        # the window of sum s runs from pre[s] up to tops[s]; a plane is
+        # built only once a shift lands in it
+        tops = {s: limit2 - rest[-s] for s in pre if -s in rest}
+        # each value of the coordinate with its cost and its label terms
+        moves = [(x, t * x * x + 2 * i * x, [term(i, x) for term, _ in labels]) for x in xs]
+        grown: dict[tuple[int, ...], dict[int, list[int]]] = {}
+        for values, row in planes.items():
+            for x, cost, deltas in moves:
+                into = grown.setdefault(plus(values, deltas), {})
+                for s, plane in row.items():
+                    top = tops.get(s + x)
+                    shift = lows[s] + cost
+                    if top is None or shift > top:
+                        continue
+                    if (target := into.get(s + x)) is None:
+                        target = into[s + x] = [0] * ((top - pre[s + x]) // 2 + 1)
+                    # the slice ends at the window's top, and the map with it
+                    j = (shift - pre[s + x]) // 2
+                    k = j + len(plane)
+                    target[j:k] = map(add, target[j:k], plane)
+        lows, planes = pre, grown
+    # the last window holds sum 0 alone, from doubled weight 0, so each
+    # plane left counts by weight
+    for values, row in planes.items():
+        for plane in row.values():
+            for w, c in enumerate(plane):
+                if c:
+                    counts[(w, *values)] = c
     return counts

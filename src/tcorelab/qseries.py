@@ -306,6 +306,8 @@ def partition_count_series(order: int) -> Series:
 
 def t_core_series(t: int, order: int) -> Series:
     """(q^t;q^t)^t / (q;q): the generating function of the t-cores."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
     return poch_product(INT, order, [(1, t, t, t), (1, 1, 1, -1)])
 
 

@@ -1,9 +1,9 @@
-"""Per-weight statistic tables, t-core tallies and the classification tables.
+"""Per-weight statistic tables and the classification tables.
 
 The checks read partitions and statistic values from one `WeightTable` per
-weight and the statistics of t-cores from one `core_tally` walk; both are
-kept for the life of the process, until `clear_memo`.  A weight table is
-built from the tables of the lower weights, never by enumerating its weight.
+weight, kept for the life of the process, until `clear_memo`.  A weight
+table is built from the tables of the lower weights, never by enumerating
+its weight.  The t-cores are counted by class in `cores.core_vector_counts`.
 
 Table 1 groups partitions by (srank mod 4, St-crank mod 5); Table 2 lists
 the orbits of the shifted orbit map with the 5-core crank as column index,
@@ -20,24 +20,23 @@ import operator
 from array import array
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import chain, repeat, starmap, tee
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import stats
-from .cores import iter_core_vectors, phi1, phi2_inv
+from .cores import phi1
 from .orbits import orbit
 from .partitions import Partition, check_enumeration_bound
 
 
 def clear_memo() -> None:
-    """Empty every process-wide table, so the next check recomputes from
-    scratch."""
+    """Empty the process-wide weight tables, so the next check recomputes
+    from scratch."""
     weight_table.cache_clear()
-    _core_tally.cache_clear()
 
 
 # ---------------------------------------------------------------------------
-# per-weight statistic tables and t-core tallies
+# per-weight statistic tables
 
 
 def _core_step(t: int, member: str, a: int, _, *sources: array, i: int = 0) -> Iterable[int]:
@@ -83,9 +82,10 @@ def _core_family(t: int) -> dict[str, tuple[tuple[str, ...], Callable[..., Itera
 
 
 def _five_core_crank_fold(a: int, _, *charges: array) -> Iterator[int]:
-    # 1 + c0 + c1 + 3c3 mod 5 over the charges of a + q (stats.five_core_crank)
-    c0, c1, c3 = (_core_step(5, "charge", a, _, *charges, i=i) for i in (0, 1, 3))
-    return map((5).__rmod__, map(sum, zip(repeat(1), c0, c1, map((3).__mul__, c3))))
+    # 1 + the charges of a + q times stats.FIVE_CORE_CRANK, mod 5
+    terms = (map(k.__mul__, _core_step(5, "charge", a, _, *charges, i=i))
+             for i, k in enumerate(stats.FIVE_CORE_CRANK) if k)
+    return map((5).__rmod__, map(sum, zip(repeat(1), *terms)))
 
 
 def _repeated_even_fold(a: int, above: Callable[[int], int],
@@ -313,49 +313,6 @@ class WeightTable:
 def weight_table(n: int) -> WeightTable:
     """The process-wide table of weight n."""
     return WeightTable(n)
-
-
-def _vectors(walk: Iterator) -> Iterator:
-    return map(operator.itemgetter(0), walk)
-
-
-def _five_core_crank_at(vec: tuple[int, ...], w: int) -> int | None:
-    # the crank is defined on the 5-cores of weight 4 (mod 5) only
-    return stats.five_core_crank_from_vector(vec) if w % 5 == 4 else None
-
-
-# Columns of the t-core tallies.  Each entry maps t and a stream of
-# (n-vector, weight) pairs to the stream of its values, so a fill runs in
-# C-level iterators where it can.  Entries are looked up when a tally is
-# filled, and the statistics when an entry runs, so wrappers installed
-# around them see each call.
-CORE_COLUMNS: dict[str, Callable[[int, Iterator], Iterator]] = {
-    "srank-mod-4": lambda t, walk: map(partial(stats.core_srank_mod4, t), _vectors(walk)),
-    "five-core-crank": lambda t, walk: starmap(_five_core_crank_at, walk),
-    "bg-rank": lambda t, walk: map(stats.bg_rank, map(phi2_inv, _vectors(walk))),
-}
-
-
-def core_tally(t: int, limit: int, *names: str) -> Counter:
-    """Counts of the (weight, *values) tuples that the named CORE_COLUMNS
-    take over the t-cores of weight <= limit.
-
-    One n-vector walk fills each tally, and the tally is kept for the life
-    of the process; do not mutate it.  The walk runs up to the next weight
-    t-1 (mod t), so bounds that differ by less than t share one tally: it
-    may hold weights past `limit`, and each reader stays within its own
-    bound.
-    """
-    return _core_tally(t, limit + (t - 1 - limit) % t, names)
-
-
-@lru_cache(maxsize=None)
-def _core_tally(t: int, top: int, names: tuple[str, ...]) -> Counter:
-    fills = [CORE_COLUMNS[name] for name in names]
-    # one streamed walk: the copies advance together, no vector is kept
-    walk, *copies = tee(iter_core_vectors(t, top), len(fills) + 1)
-    columns = [fill(t, copy) for fill, copy in zip(fills, copies)]
-    return Counter(zip(map(operator.itemgetter(1), walk), *columns))
 
 
 # ---------------------------------------------------------------------------

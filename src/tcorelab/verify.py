@@ -16,6 +16,7 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from math import isqrt
 from typing import Callable, NoReturn
@@ -57,7 +58,7 @@ from .qseries import (
     triangular_theta,
 )
 from .rings import CYC5, INT, LaurentRing
-from .tables import core_tally, table2_json, weight_table
+from .tables import table2_json, weight_table
 
 # ---------------------------------------------------------------------------
 # reports and registry plumbing
@@ -490,11 +491,12 @@ def _chk_tcoregf(params):
     top = max(order - 1, enum_n)
     for t in range(params["t_min"], params["t_max"] + 1):
         # the counter rejects t < 2 before the product builder sees it
-        tally = core_vector_counts(t, top)
+        tally = core_vector_counts(t, top, (operator.mul, t))
         series = t_core_series(t, order)
-        if off := [w for w, residue in tally if residue]:
+        # the weight is (0,1,..,t-1).n mod t, as t|n|^2/2 is a multiple of t
+        if off := [w for w, residue in tally if (w - residue) % t]:
             fail({"t": t, "weight": min(off), "reason": "weight residue mismatch"})
-        vec_counts = [tally[(n, 0)] for n in range(top + 1)]
+        vec_counts = [tally[(n, n % t)] for n in range(top + 1)]
         if (n := series.first_difference(Series(INT, order, vec_counts))) is not None:
             fail({"t": t, "n": n, "series": series.coeff(n), "vectors": vec_counts[n]})
         for n in range(enum_n + 1):
@@ -595,6 +597,13 @@ def _chk_g3(params):
 # 5-cores, orbits and refinements
 
 
+# Labels of the 5-core counts (cores.core_vector_counts): srank mod 4, the
+# 5-core crank, whose constant 1 rides on coordinate 0, and the BG-rank.
+_SRANK_MOD4 = (partial(stats.core_srank_term, 5), 4)
+_CRANK = (lambda i, x: (i == 0) + stats.FIVE_CORE_CRANK[i] * x, 5)
+_BG_RANK = (partial(stats.core_bg_term, 5), None)
+
+
 def _core_map_bijection(route: str, top: int, step, scale: int, shift: int,
                         count: Counter, classes: Counter, tests) -> None:
     """Fail unless, for each n <= top, `step` maps the count[n] 5-core
@@ -630,8 +639,8 @@ def _chk_5core(params):
     if order < 1:
         raise ValueError(f"CHK-5CORE needs order >= 1, got {order}")
     limit = 5 * max(order - 2, params["rel_n"], theta_n) + 4
-    tally = core_tally(5, limit, "srank-mod-4", "five-core-crank")
-    count, by_crank = _sum_down(tally, 0), _sum_down(tally, 0, 2)
+    by_crank = core_vector_counts(5, limit, _CRANK)
+    count = _sum_down(by_crank, 0)
     # alpha-form sum equals the sifted 5-core counts, both by direct
     # enumeration of alpha space and through the product series; the counts
     # below k do not depend on the bound, so one walk serves both orders
@@ -772,7 +781,7 @@ def _chk_elegant(params):
           refine_n=100, theta_n=104, invar_n=25)
 def _chk_refine(params):
     limit = 5 * max(params["refine_n"], params["theta_n"]) + 4
-    tally = core_tally(5, limit, "srank-mod-4", "five-core-crank")
+    tally = core_vector_counts(5, limit, _SRANK_MOD4, _CRANK)
     by_srank = _sum_down(tally, 0, 1)
     for w in range(4, limit + 1, 5):
         for i in (0, 2):
@@ -810,9 +819,9 @@ def _chk_refine(params):
           max_arg=520, form4_n=100, map_n=25)
 def _chk_a50(params):
     top = params["max_arg"]
-    tally = core_tally(5, max(top, 4 * max(params["form4_n"], params["map_n"]) + 3),
-                       "srank-mod-4", "five-core-crank")
-    count, by_srank = _sum_down(tally, 0), _sum_down(tally, 0, 1)
+    by_srank = core_vector_counts(
+        5, max(top, 4 * max(params["form4_n"], params["map_n"]) + 3), _SRANK_MOD4)
+    count = _sum_down(by_srank, 0)
     for m in range(top + 1):
         a50 = by_srank[(m, 0)]
         if m % 4 in (0, 1):
@@ -1020,14 +1029,14 @@ def _chk_cor5(params):
 
 def _scan_bg_counterexample(max_weight: int):
     """The first (weight, BG-rank) class of 5-cores, weight 5n+r with r < 4,
-    whose size is not divisible by 5.  The tallies run to bounds that double
+    whose size is not divisible by 5.  The counts run to bounds that double
     up to max_weight; the first that holds one stops the scan, since every
-    larger tally holds the same weights below its bound."""
+    larger count holds the same classes below its bound."""
     bound = 4
     while True:
         bound = min(bound, max_weight)
-        for (w, j), c in sorted(core_tally(5, bound, "bg-rank").items()):
-            if w <= bound and w % 5 != 4 and c % 5:
+        for (w, j), c in sorted(core_vector_counts(5, bound, _BG_RANK).items()):
+            if w % 5 != 4 and c % 5:
                 return {"n": w // 5, "r": w % 5, "j": j, "weight": w, "count": c}
         if bound == max_weight:
             return None
@@ -1048,8 +1057,8 @@ def _chk_ab5jr(params):
 def _chk_ab5j4(params):
     top = params["max_weight"]
     _weights(4, top, 5)  # a bound below 4 leaves no weight 5n+4 to test
-    for (w, j), c in sorted(core_tally(5, top, "bg-rank").items()):
-        if w <= top and w % 5 == 4 and c % 5:
+    for (w, j), c in sorted(core_vector_counts(5, top, _BG_RANK).items()):
+        if w % 5 == 4 and c % 5:
             fail({"weight": w, "j": j, "count": c})
 
 

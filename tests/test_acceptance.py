@@ -18,6 +18,7 @@ from tcorelab.cores import (
     alpha_from_n,
     capital_phi,
     capital_phi_inv,
+    core_vector_counts,
     iter_core_vectors,
     n_from_alpha,
     phi1,
@@ -160,8 +161,8 @@ def test_criterion_8_five_core_counting():
     run_ok("CHK-5CORE", rel_n=104)
     run_ok("CHK-REFINE", refine_n=100, theta_n=104)
     run_ok("CHK-A50", form4_n=100)
-    tally = tables.core_tally(5, 524, "srank-mod-4", "five-core-crank")
-    count, by_srank = verify._sum_down(tally, 0), verify._sum_down(tally, 0, 1)
+    by_srank = core_vector_counts(5, 524, verify._SRANK_MOD4)
+    count = verify._sum_down(by_srank, 0)
     for n in range(105):
         assert count[5 * n + 4] == 5 * count[n]
     for m in range(2, 525, 4):

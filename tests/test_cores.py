@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 
 import pytest
@@ -30,6 +32,7 @@ from tcorelab.cores import (
     words,
 )
 from tcorelab.partitions import Partition, enumerate_partitions, is_t_core, strip_to_core
+from tcorelab.stats import FIVE_CORE_CRANK, core_bg_term, core_srank_term
 
 
 def count_t_cores_by_filter(n: int, t: int) -> int:
@@ -292,6 +295,17 @@ def recursive_core_vectors(t: int, max_weight: int):
     yield from rec(0, 0, 0)
 
 
+# Labels of the lattice count, by t: the weight residue (0,1,..,t-1).n mod
+# t, srank mod 4, the 5-core crank's coefficients (cycled past coordinate
+# 4) mod 5, and the exact BG-rank.
+LABELS = {
+    "residue": lambda t: (operator.mul, t),
+    "srank": lambda t: (functools.partial(core_srank_term, t), 4),
+    "crank": lambda t: (lambda i, x: (i == 0) + FIVE_CORE_CRANK[i % 5] * x, 5),
+    "bg-rank": lambda t: (functools.partial(core_bg_term, t), None),
+}
+
+
 class TestCounting:
     @pytest.mark.parametrize("t", range(2, 10))
     def test_walk_matches_recursive_reference(self, t):
@@ -301,12 +315,19 @@ class TestCounting:
                 recursive_core_vectors(t, max_weight))
 
     @settings(max_examples=200, deadline=None)
-    @given(t=st.integers(2, 9), max_weight=st.integers(-1, 45))
-    def test_lattice_counts_match_the_walk(self, t, max_weight):
+    @given(t=st.integers(2, 9), max_weight=st.integers(-1, 45),
+           names=st.lists(st.sampled_from(sorted(LABELS)), max_size=3))
+    def test_lattice_counts_match_the_walk(self, t, max_weight, names):
+        labels = [LABELS[name](t) for name in names]
+
+        def value(nvec, term, modulus):
+            total = sum(map(term, range(t), nvec))
+            return total if modulus is None else total % modulus
+
         walked = Counter(
-            (w, (w - sum(i * x for i, x in enumerate(nvec))) % t)
+            (w, *(value(nvec, *label) for label in labels))
             for nvec, w in iter_core_vectors(t, max_weight))
-        counted = core_vector_counts(t, max_weight)
+        counted = core_vector_counts(t, max_weight, *labels)
         assert set(counted) == set(walked)
         assert counted == walked
 
@@ -320,12 +341,12 @@ class TestCounting:
         triangulars = {k * (k + 1) // 2 for k in range(12)}
         tally = core_vector_counts(2, 40)
         for n in range(41):
-            assert tally[(n, 0)] == (1 if n in triangulars else 0)
+            assert tally[(n,)] == (1 if n in triangulars else 0)
             assert count_t_cores_by_filter(n, 2) == (1 if n in triangulars else 0)
 
     def test_five_core_counts(self):
         tally = core_vector_counts(5, 9)
-        assert (tally[(4, 0)], tally[(9, 0)], tally[(5, 0)]) == (5, 5, 2)
+        assert (tally[(4,)], tally[(9,)], tally[(5,)]) == (5, 5, 2)
         assert [count_t_cores_by_filter(n, 5) for n in (4, 9, 5)] == [5, 5, 2]
 
     def test_triple_agreement_small(self):
@@ -335,7 +356,7 @@ class TestCounting:
                 by_vector[w] += 1
             tally = core_vector_counts(t, 20)
             for n in range(21):
-                assert by_vector[n] == tally[(n, 0)]
+                assert by_vector[n] == tally[(n,)]
                 assert by_vector[n] == count_t_cores_by_filter(n, t)
 
     def test_series_matches_vectors_to_high_order(self):

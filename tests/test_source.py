@@ -139,6 +139,29 @@ def test_only_the_weight_table_enumerates():
     assert found == [], f"enumerate_partitions named at {found}"
 
 
+def _names(path, names):
+    """file:line of each definition, name, attribute or import of one of
+    the names in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.alias) and node.name in names
+            or isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names]
+
+
+def test_one_way_to_count_core_classes():
+    # the t-cores are counted by class on their n-vector lattice, one label
+    # per statistic (cores.core_vector_counts); no walk-and-cache tally stays
+    # beside it, and the weight tables do not walk the n-vectors at all.
+    # iter_core_vectors stays for the readers that need each vector
+    found = [where for path in SOURCES
+             for where in _names(path, {"core_tally", "_core_tally", "CORE_COLUMNS"})]
+    assert found == [], f"a second t-core tally at {found}"
+    path = next(path for path in SOURCES if path.name == "tables.py")
+    assert _names(path, {"iter_core_vectors"}) == []
+
+
 def _poch_product_calls(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)

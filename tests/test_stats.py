@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,9 @@ from tcorelab.stats import (
     bijection1_inv,
     bijection2,
     bijection2_inv,
+    core_bg_term,
     core_srank_mod4,
+    core_srank_term,
     decomposition_srank_mod4,
     dyson_rank,
     five_core_crank,
@@ -278,6 +282,10 @@ class TestChargeCubic:
             srank_charge_contribution(3, 1, 3)
 
 
+# every t to weight 30, and the 5-cores to CHK-AB5J4's default bound
+CORE_BOUNDS = [(t, 104 if t == 5 else 30) for t in range(2, 10)]
+
+
 class TestClosedForms:
     def test_zero_vector(self):
         assert core_srank_mod4(5, (0, 0, 0, 0, 0)) == 0
@@ -287,6 +295,18 @@ class TestClosedForms:
         for t in range(2, 10):
             for nvec, _ in iter_core_vectors(t, 16):
                 assert core_srank_mod4(t, nvec) == srank(phi2_inv(nvec)) % 4
+
+    @pytest.mark.parametrize("t, max_weight", CORE_BOUNDS)
+    def test_bg_terms_sum_to_the_bg_rank(self, t, max_weight):
+        for nvec, _ in iter_core_vectors(t, max_weight):
+            terms = map(functools.partial(core_bg_term, t), range(t), nvec)
+            assert sum(terms) == bg_rank(phi2_inv(nvec)), nvec
+
+    @pytest.mark.parametrize("t, max_weight", CORE_BOUNDS)
+    def test_srank_terms_sum_to_the_srank(self, t, max_weight):
+        for nvec, _ in iter_core_vectors(t, max_weight):
+            terms = map(functools.partial(core_srank_term, t), range(t), nvec)
+            assert sum(terms) % 4 == srank(phi2_inv(nvec)) % 4, nvec
 
     def test_decomposition_formula_small(self):
         for n in range(15):

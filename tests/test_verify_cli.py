@@ -6,6 +6,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from tcorelab import cores, stats, tables, verify
 from tcorelab.cli import main
-from tcorelab.cores import core_weight_from_vector, iter_core_vectors
+from tcorelab.cores import core_weight_from_vector
 from tcorelab.orbits import orbit_map, orbit_map_s
 from tcorelab.partitions import BoundExceededError, Partition, enumerate_partitions, is_t_core
 from tcorelab.qseries import Series
@@ -271,7 +272,14 @@ def five_cores_by_enumeration(max_weight: int) -> list:
             if is_t_core(p, 5)]
 
 
-# The t-core tally columns computed on the cores as partitions.
+# The labels of the checks' 5-core counts, and the statistics they count
+# computed on the cores as partitions; the crank is defined on the weights
+# 4 (mod 5) only.
+CORE_LABELS = {
+    "srank-mod-4": verify._SRANK_MOD4,
+    "five-core-crank": verify._CRANK,
+    "bg-rank": verify._BG_RANK,
+}
 PARTITION_CORE_COLUMNS = {
     "srank-mod-4": lambda p: stats.srank(p) % 4,
     "five-core-crank": lambda p: stats.five_core_crank(p) if p.weight % 5 == 4 else None,
@@ -283,10 +291,10 @@ class TestCoreTally:
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(2, 7), limit=st.integers(-1, 24))
     def test_weight_counts_match_the_partition_filter(self, t, limit):
-        tally = cores.core_vector_counts(t, limit)
-        assert all(residue == 0 for _, residue in tally)
+        tally = cores.core_vector_counts(t, limit, (operator.mul, t))
+        assert all((w - residue) % t == 0 for w, residue in tally)
         counts = verify._sum_down(tally, 0)
-        # unlike a core tally, the lattice count stops at the limit
+        # the lattice count stops at the limit
         assert max(counts, default=-1) <= limit
         for n in range(limit + 1):
             assert counts[n] == filter_count(n, t), (t, n)
@@ -296,34 +304,17 @@ class TestCoreTally:
         limit=st.integers(-1, 30),
         names=st.sampled_from([("srank-mod-4", "five-core-crank"), ("bg-rank",),
                                ("five-core-crank", "bg-rank", "srank-mod-4")]),
-        fresh=st.booleans(),
     )
-    def test_five_core_columns_match_the_partition_route(self, limit, names, fresh):
-        if fresh:
-            tables.clear_memo()
-        tally = tables.core_tally(5, limit, *names)
-        within = Counter({key: c for key, c in tally.items() if key[0] <= limit})
+    def test_five_core_columns_match_the_partition_route(self, limit, names):
+        tally = cores.core_vector_counts(5, limit, *(CORE_LABELS[name] for name in names))
+        counted = Counter()
+        for (w, *values), c in tally.items():
+            counted[(w, *(None if name == "five-core-crank" and w % 5 != 4 else v
+                          for name, v in zip(names, values)))] += c
         expected = Counter(
             (p.weight, *(PARTITION_CORE_COLUMNS[name](p) for name in names))
             for p in five_cores_by_enumeration(30) if p.weight <= limit)
-        assert within == expected
-
-    def test_one_walk_per_rounded_bound(self, monkeypatch):
-        walks = []
-
-        def counting(t, max_weight):
-            walks.append((t, max_weight))
-            return iter_core_vectors(t, max_weight)
-
-        tables.clear_memo()
-        monkeypatch.setattr(tables, "iter_core_vectors", counting)
-        try:
-            first = tables.core_tally(5, 520, "srank-mod-4", "five-core-crank")
-            assert tables.core_tally(5, 524, "srank-mod-4", "five-core-crank") is first
-            tables.core_tally(3, 10, "bg-rank")
-        finally:
-            tables.clear_memo()
-        assert walks == [(5, 524), (3, 11)]
+        assert counted == expected
 
 
 class TestRegistry:
@@ -349,18 +340,18 @@ class TestRegistry:
         assert report.witness == {"n": 0, "r": 0, "j": 0, "weight": 0, "count": 1}
 
     def test_search_doubles_its_bound(self, monkeypatch):
-        # the scan tallies to 4, 8, 16, ... and stops at the first tally that
+        # the scan counts to 4, 8, 16, ... and stops at the first count that
         # holds a class off 0 (mod 5) on a weight 5n+r, r < 4: the smallest,
         # as one scan to the full bound finds it
         classes = Counter({(w, 0): 5 for w in range(40)})
         classes.update({(9, 1): 1, (11, 2): 3, (11, 1): 4, (30, 0): 1})
         bounds = []
 
-        def tally(t, limit, *names):
+        def tally(t, limit, *labels):
             bounds.append(limit)
-            return Counter({k: c for k, c in classes.items() if k[0] <= limit + 4})
+            return Counter({k: c for k, c in classes.items() if k[0] <= limit})
 
-        monkeypatch.setattr(verify, "core_tally", tally)
+        monkeypatch.setattr(verify, "core_vector_counts", tally)
         witness = {"n": 2, "r": 1, "j": 1, "weight": 11, "count": 4}
         assert verify._scan_bg_counterexample(100000) == witness
         assert bounds == [4, 8, 16]
@@ -388,10 +379,9 @@ class TestRegistry:
             "CHK-THM5": {"max_n": 16},
             "CHK-COR5": {"max_n": 16},
             "CHK-FJ": {"order": 14, "xi_order": 30},
-            # the t-core tally readers: 5CORE, REFINE and A50 share one
-            # 5-core tally to weight 104 that A50 reads only to 100, and
-            # whichever runs first fills it; AB5JR stops at its first
-            # BG-rank tally, to 4, and AB5J4 reads one to 24
+            # the 5-core count readers: 5CORE, REFINE and A50 count to
+            # weights 104, 104 and 100, AB5JR stops at its first BG-rank
+            # count, to 4, and AB5J4 counts to 24; none is kept
             "CHK-5CORE": {"order": 10, "psift_order": 10, "rel_n": 10},
             "CHK-A50": {"max_arg": 100, "form4_n": 20, "map_n": 10},
             "CHK-REFINE": {"refine_n": 20, "theta_n": 20, "invar_n": 10},
@@ -412,7 +402,7 @@ class TestRegistry:
     def test_clear_memo_empties_every_cache(self):
         verify.run_check("CHK-THM5", max_n=12)
         verify.run_check("CHK-AB5JR", max_weight=20)
-        tally = tables.core_tally(5, 30, "srank-mod-4")
+        table = tables.weight_table(12)
         tables.clear_memo()
         caches = [
             (name, attr) for name, module in sys.modules.items()
@@ -423,10 +413,11 @@ class TestRegistry:
         assert caches
         for name, attr in caches:
             assert getattr(sys.modules[name], attr).cache_info().currsize == 0, (name, attr)
-        assert tables.core_tally(5, 30, "srank-mod-4") is not tally
+        assert tables.weight_table(12) is not table
 
     def test_five_core_checks_size_their_table(self):
-        # both bounds read 5-core weights past 524, the default table size
+        # both bounds read 5-core weights past 524, where the counts at the
+        # checks' defaults stop; each count runs to its check's own bound
         assert verify.run_check("CHK-REFINE", theta_n=105).status == "pass"
         assert verify.run_check("CHK-A50", form4_n=131).status == "pass"
 
@@ -617,14 +608,14 @@ class TestRegistry:
             "fail", {"t": 3, "n": 7, "series": 1, "vectors": 0})
 
     def test_tcoregf_residue_fault_witness(self, monkeypatch):
-        # one 4-core of weight 6 counted under residue 1
+        # one 4-core of weight 6 counted under residue 3, not 6 mod 4
         counts = verify.core_vector_counts
 
-        def off_residue(t, max_weight):
-            tally = counts(t, max_weight)
+        def off_residue(t, max_weight, *labels):
+            tally = counts(t, max_weight, *labels)
             if t == 4:
-                tally[(6, 0)] -= 1
-                tally[(6, 1)] += 1
+                tally[(6, 2)] -= 1
+                tally[(6, 3)] += 1
             return tally
 
         monkeypatch.setattr(verify, "core_vector_counts", off_residue)
@@ -663,14 +654,14 @@ class TestRegistry:
 
     def test_ab5j4_fault_witness(self, monkeypatch):
         # the five 5-cores of weight 9 and BG-rank 1, counted as six
-        core_tally = verify.core_tally
+        counts = verify.core_vector_counts
 
-        def off_by_one(t, limit, *names):
-            tally = Counter(core_tally(t, limit, *names))
+        def off_by_one(t, limit, *labels):
+            tally = counts(t, limit, *labels)
             tally[(9, 1)] += 1
             return tally
 
-        monkeypatch.setattr(verify, "core_tally", off_by_one)
+        monkeypatch.setattr(verify, "core_vector_counts", off_by_one)
         report = verify.run_check("CHK-AB5J4", max_weight=24)
         assert (report.status, report.witness) == ("fail", {"weight": 9, "j": 1, "count": 6})
 
@@ -879,6 +870,17 @@ class TestCli:
         assert main(["series", "--expr", "tcore-gf:5", "--order", "10"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["coefficients"][4] == 5
+
+    @pytest.mark.parametrize("t", ["0", "-3"])
+    def test_series_tcore_needs_t_at_least_one(self, t, capsys):
+        assert main(["series", "--expr", f"tcore-gf:{t}", "--order", "5"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: t must be at least 1\n")
+
+    def test_series_tcore_one(self, capsys):
+        # the only 1-core is the empty partition
+        assert main(["series", "--expr", "tcore-gf:1", "--order", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["coefficients"] == [1, 0, 0, 0, 0]
 
     def test_series_laurent_json(self, capsys):
         assert main(["series", "--expr", "crank-gf", "--order", "3"]) == 0
