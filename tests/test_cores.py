@@ -32,7 +32,7 @@ from tcorelab.cores import (
     words,
 )
 from tcorelab.partitions import Partition, enumerate_partitions, is_t_core, strip_to_core
-from tcorelab.stats import FIVE_CORE_CRANK, core_bg_term, core_srank_term
+from tcorelab.stats import FIVE_CORE_CRANK, bg_rank, core_bg_term, core_srank_term, srank
 
 
 def count_t_cores_by_filter(n: int, t: int) -> int:
@@ -295,14 +295,20 @@ def recursive_core_vectors(t: int, max_weight: int):
     yield from rec(0, 0, 0)
 
 
-# Labels of the lattice count, by t: the weight residue (0,1,..,t-1).n mod
-# t, srank mod 4, the 5-core crank's coefficients (cycled past coordinate
-# 4) mod 5, and the exact BG-rank.
+# Labels of the lattice count, by t, each with its value on one n-vector:
+# the weight residue (0,1,..,t-1).n mod t, srank mod 4 and the exact
+# BG-rank, these two read off the core as a partition, and the 5-core
+# crank's coefficients (cycled past coordinate 4) mod 5.
 LABELS = {
-    "residue": lambda t: (operator.mul, t),
-    "srank": lambda t: (functools.partial(core_srank_term, t), 4),
-    "crank": lambda t: (lambda i, x: (i == 0) + FIVE_CORE_CRANK[i % 5] * x, 5),
-    "bg-rank": lambda t: (functools.partial(core_bg_term, t), None),
+    "residue": (lambda t: (operator.mul, t),
+                lambda nvec: sum(i * x for i, x in enumerate(nvec)) % len(nvec)),
+    "srank": (lambda t: (functools.partial(core_srank_term, t), 4),
+              lambda nvec: srank(phi2_inv(nvec)) % 4),
+    "crank": (lambda t: (lambda i, x: (i == 0) + FIVE_CORE_CRANK[i % 5] * x, 5),
+              lambda nvec: (1 + sum(FIVE_CORE_CRANK[i % 5] * x
+                                    for i, x in enumerate(nvec))) % 5),
+    "bg-rank": (lambda t: (functools.partial(core_bg_term, t), None),
+                lambda nvec: bg_rank(phi2_inv(nvec))),
 }
 
 
@@ -318,16 +324,10 @@ class TestCounting:
     @given(t=st.integers(2, 9), max_weight=st.integers(-1, 45),
            names=st.lists(st.sampled_from(sorted(LABELS)), max_size=3))
     def test_lattice_counts_match_the_walk(self, t, max_weight, names):
-        labels = [LABELS[name](t) for name in names]
-
-        def value(nvec, term, modulus):
-            total = sum(map(term, range(t), nvec))
-            return total if modulus is None else total % modulus
-
         walked = Counter(
-            (w, *(value(nvec, *label) for label in labels))
+            (w, *(LABELS[name][1](nvec) for name in names))
             for nvec, w in iter_core_vectors(t, max_weight))
-        counted = core_vector_counts(t, max_weight, *labels)
+        counted = core_vector_counts(t, max_weight, *(LABELS[name][0](t) for name in names))
         assert set(counted) == set(walked)
         assert counted == walked
 
