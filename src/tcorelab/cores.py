@@ -113,8 +113,10 @@ def _charges_and_bead_parts(
     reading.  A run of 3t or more parts, where each block holds at least
     three beads, costs one step per colour, and its start is found by
     bisection, as in `Partition.conjugate`; a shorter run costs one step
-    per part.
+    per part.  A t below 2 is a ValueError.
     """
+    if t < 2:
+        raise ValueError("t must be at least 2")
     end = len(p)
     run = 3 * t
     # ground[i]: the ground quotient of the next bead of colour i
@@ -342,8 +344,6 @@ def _parts_by_bands(
 
 def phi1(p: Partition, t: int) -> CoreQuotient:
     """Littlewood decomposition of p into its t-core and t-quotient."""
-    if t < 2:
-        raise ValueError("t must be at least 2")
     charges, bead_parts = _charges_and_bead_parts(p, t)
     core = _partition_from_colors(t, charges, ())
     # the split's readings are positive and nonincreasing
@@ -356,10 +356,9 @@ def phi1_inv(cq: CoreQuotient) -> Partition:
     t, core, quotient = cq
     if len(quotient) != t:
         raise ValueError(f"quotient must have {t} components")
-    if t < 2:
-        raise ValueError("t must be at least 2")
     # a t-core is a partition whose t-quotient is empty, and its charges
-    # are its n-vector, so one reading of its beads tests it and gives both
+    # are its n-vector, so one reading of its beads (which rejects a t below
+    # 2) tests it and gives both
     charges, core_beads = _charges_and_bead_parts(core, t)
     if any(core_beads):
         raise ValueError(f"{core!r} has a rim hook of length {t}")

@@ -14,7 +14,6 @@ from operator import neg
 from typing import Iterator, Sequence
 
 from . import cores
-from .cores import CoreQuotient
 from .partitions import Partition
 
 
@@ -59,8 +58,9 @@ def _stretches(p: Partition) -> Iterator[tuple[int, int, int]]:
         yield mixed, n, 0
 
 
-def srank(p: Partition) -> int:
-    """Odd parts of p minus odd parts of its conjugate.  Always even.
+def srank(p: Sequence[int]) -> int:
+    """Odd parts of p minus odd parts of its conjugate.  Always even.  p may
+    be a partition or any nonincreasing sequence of parts.
 
     Column j of p has an odd length exactly when lambda_{i+1} < j <= lambda_i
     for an odd row i, so the conjugate's odd-part count is the alternating
@@ -454,22 +454,25 @@ def core_bg_term(t: int, i: int, x: int) -> int:
     return 0 if i % 2 else x
 
 
-def decomposition_srank_mod4(cq: CoreQuotient) -> int:
-    """srank mod 4 of phi1_inv(cq) from the core and quotient data alone.
+def decomposition_srank_mod4(t: int, charges: Sequence[int], core_srank: int,
+                             readings: Sequence[Sequence[int]]) -> int:
+    """srank mod 4 of a partition from its t-core and t-quotient data alone.
 
-    Even t adds 2a times the quotient weight; odd t adds the quotient sranks
-    and a cross term 2*(n_i + i + a)*|component i|.
+    The data is what the bead split (`cores._charges_and_bead_parts`) reads
+    at t: the charges, which are the core's n-vector, and reading i, the
+    conjugate of quotient component i; with the core's srank.  So component
+    i weighs sum(reading i), and its srank is -srank(reading i), as
+    conjugation negates the srank.  Even t adds 2a times the quotient
+    weight; odd t adds the component sranks and a cross term
+    2*(n_i + i + a)*|component i|; a = 1 when t is 2 or 3 (mod 4), else 0.
     """
-    t, core, quotient = cq
-    base = srank(core)
+    a = t % 4 // 2
     if t % 2 == 0:
-        a = 0 if t % 4 == 0 else 1
-        return (base + 2 * a * sum(q.weight for q in quotient)) % 4
-    a = 0 if t % 4 == 1 else 1
-    nvec = cores.phi2(core, t)
-    total = base
-    for i, q in enumerate(quotient):
-        total += 2 * (nvec[i] + i + a) * q.weight + srank(q)
+        return (core_srank + 2 * a * sum(map(sum, readings))) % 4
+    total = core_srank
+    for i, reading in enumerate(readings):
+        if reading:
+            total += 2 * (charges[i] + i + a) * sum(reading) - srank(reading)
     return total % 4
 
 

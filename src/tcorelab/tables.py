@@ -289,10 +289,15 @@ class WeightTable:
         self._fill(())
         return self.size
 
+    def rows(self) -> list[bytes]:
+        """The partitions of the weight in reverse lexicographic order, each
+        as the bytes of its parts, replayed."""
+        self._fill(())
+        return self.packed.split(b"\0")
+
     def partitions(self) -> Iterator[Partition]:
         """The partitions of the weight in reverse lexicographic order, replayed."""
-        self._fill(())
-        return map(Partition._trusted, self.packed.split(b"\0"))
+        return map(Partition._trusted, self.rows())
 
     def columns(self, *names: str) -> tuple[array, ...]:
         """The named columns, any missing ones filled in one pass.  A name in

@@ -21,17 +21,15 @@ from itertools import repeat
 from math import isqrt
 from typing import Callable, NoReturn
 
-from . import cores, stats
+from . import stats
 from .cores import (
-    CoreQuotient,
+    _charges_and_bead_parts,
     _partition_from_colors,
     alpha_from_n,
     core_vector_counts,
     core_weight_from_vector,
     five_core_beads,
     iter_core_vectors,
-    phi1,
-    phi1_inv,
     phi2,
     phi2_inv,
     q3,
@@ -682,29 +680,32 @@ def _chk_orbit(params):
     for n in _weights(4, params["max_n"], 5):
         table = weight_table(n)
         crank, srank = table.columns("five-core-crank", "srank")
-        partitions = list(table.partitions())
-        # partition -> enumeration position, the row of its table entries
-        index = {p: k for k, p in enumerate(partitions)}
+        # each partition's parts as bytes -> its enumeration position, the
+        # row of its table entries; the bytes take a third of the memory of
+        # the partitions, which are replayed once and built again only for a
+        # witness
+        rows = table.rows()
+        index = {row: k for k, row in enumerate(rows)}
         # image positions under the unshifted and the shifted map, both from
         # one bead reading per partition; -1 marks an image outside the index
         images = (array("i"), array("i"))
-        for p in partitions:
+        for p in table.partitions():
             for key, positions in zip(orbit_step(five_core_beads(p)), images):
-                positions.append(index.get(_partition_from_colors(5, *key), -1))
+                positions.append(index.get(bytes(_partition_from_colors(5, *key)), -1))
         # one pass of tests per map, the unshifted map first; an image is
         # rebuilt only for a witness
         for shifted, step in zip((False, True), images):
             for k, j in enumerate(step):
                 if j < 0:
-                    p = partitions[k]
+                    p = Partition(rows[k])
                     q = _partition_from_colors(5, *orbit_step(five_core_beads(p))[shifted])
                     fail({"n": n, "shifted": shifted, "partition": list(p), "image": list(q)})
                 if (crank[j] - crank[k]) % 5 != 1:
                     fail({"n": n, "shifted": shifted, "reason": "crank step",
-                          "partition": list(partitions[k])})
+                          "partition": list(rows[k])})
                 if shifted and srank[j] % 4 != srank[k] % 4:
                     fail({"n": n, "reason": "srank not preserved",
-                          "partition": list(partitions[k])})
+                          "partition": list(rows[k])})
             if len(set(step)) != len(step):
                 fail({"n": n, "shifted": shifted, "reason": "not a bijection"})
             if len(step) % 5:
@@ -717,7 +718,7 @@ def _chk_orbit(params):
             for k, j in enumerate(power):
                 if j != k:
                     fail({"n": n, "shifted": shifted, "reason": "order",
-                          "partition": list(partitions[k])})
+                          "partition": list(rows[k])})
 
 
 @register("CHK-THM3", "5-core crank mod 5 splits p0(5n+4) and p2(5n+4) evenly",
@@ -744,16 +745,20 @@ def _chk_thm3(params):
 @register("CHK-ELEGANT", "closed srank formulas for 5-cores and 5-quotients",
           max_n=29)
 def _chk_elegant(params):
+    core_sranks: dict[tuple[int, ...], int] = {}
     for n in range(params["max_n"] + 1):
         for p in weight_table(n).partitions():
-            cq = phi1(p, 5)
-            nvec = phi2(cq.core, 5)
-            s_core = stats.srank(cq.core)
+            # the charges are the 5-core's n-vector, and reading i is the
+            # conjugate of quotient component i: it has the component's
+            # weight and minus its srank
+            nvec, readings = _charges_and_bead_parts(p, 5)
+            s_core = _core_srank(core_sranks, nvec)
             if s_core % 4 != stats.core_srank_mod4(5, nvec):
                 fail({"route": "core-cubic", "partition": list(p)})
-            total = s_core + sum(stats.srank(q) for q in cq.quotient)
-            total += 2 * sum(q.weight * (nvec[i] + i)
-                             for i, q in enumerate(cq.quotient))
+            weights = list(map(sum, readings))
+            s_quotient = -sum(map(stats.srank, readings))
+            total = s_core + s_quotient
+            total += 2 * sum(w * (nvec[i] + i) for i, w in enumerate(weights))
             if stats.srank(p) % 4 != total % 4:
                 fail({"route": "quotient-expansion", "partition": list(p)})
             if n % 5 == 4:
@@ -766,13 +771,13 @@ def _chk_elegant(params):
                     fail({"route": "alpha-core", "partition": list(p)})
                 a = alpha
                 cross = 2 * (
-                    (a[0] + a[4]) * cq.quotient[0].weight
-                    + (a[2] + a[3]) * cq.quotient[1].weight
-                    + (a[1] + a[2]) * cq.quotient[2].weight
-                    + (a[0] + a[1]) * cq.quotient[3].weight
-                    + (a[3] + a[4]) * cq.quotient[4].weight
+                    (a[0] + a[4]) * weights[0]
+                    + (a[2] + a[3]) * weights[1]
+                    + (a[1] + a[2]) * weights[2]
+                    + (a[0] + a[1]) * weights[3]
+                    + (a[3] + a[4]) * weights[4]
                 )
-                full = cyc + sum(stats.srank(q) for q in cq.quotient) + cross
+                full = cyc + s_quotient + cross
                 if stats.srank(p) % 4 != full % 4:
                     fail({"route": "alpha-expansion", "partition": list(p)})
 
@@ -852,6 +857,15 @@ def _chk_a50(params):
 # srank of t-cores, quotients and strips
 
 
+def _core_srank(memo: dict[tuple[int, ...], int], nvec: tuple[int, ...]) -> int:
+    """srank of the t-core with this n-vector, rebuilt by phi2_inv, so that
+    it does not rest on CHK-THM4's closed form; once per vector in memo, which
+    lives for one check run."""
+    if (s := memo.get(nvec)) is None:
+        s = memo[nvec] = stats.srank(phi2_inv(nvec))
+    return s
+
+
 @register("CHK-THM4", "closed form for the srank of a t-core",
           max_weight=30, t_min=2, t_max=9, g_range=20)
 def _chk_thm4(params):
@@ -874,11 +888,14 @@ def _chk_thm4(params):
 @register("CHK-SRTQ", "srank from the core and quotient data alone",
           max_n=24, t_min=2, t_max=9)
 def _chk_srtq(params):
+    core_sranks: dict[tuple[int, ...], int] = {}
     for n in range(params["max_n"] + 1):
         for p in weight_table(n).partitions():
             s = stats.srank(p) % 4
             for t in range(params["t_min"], params["t_max"] + 1):
-                if stats.decomposition_srank_mod4(phi1(p, t)) != s:
+                charges, readings = _charges_and_bead_parts(p, t)
+                s_core = _core_srank(core_sranks, charges)
+                if stats.decomposition_srank_mod4(t, charges, s_core, readings) != s:
                     fail({"t": t, "partition": list(p)})
 
 
@@ -923,16 +940,17 @@ def _chk_strip(params):
     for t in (3, 5):
         for n in range(top + 1):
             for base in weight_table(n).partitions():
-                cq = phi1(base, t)
-                nvec = phi2(cq.core, t)
+                # the charges are the core's n-vector; reading i is empty
+                # exactly when quotient component i is
+                nvec, readings = _charges_and_bead_parts(base, t)
                 for i in range(t):
-                    if cq.quotient[i]:
+                    if readings[i]:
                         continue
                     lam = 1
                     while n + t * lam <= top:
-                        quotient = list(cq.quotient)
-                        quotient[i] = Partition((lam,))
-                        grown = phi1_inv(CoreQuotient(t, cq.core, tuple(quotient)))
+                        # component i grown to (lam), read as its conjugate
+                        grown = _partition_from_colors(
+                            t, nvec, (*readings[:i], (1,) * lam, *readings[i + 1:]))
                         hit = [r for r in rim_hook_removals(grown, t * lam)
                                if r.result == base]
                         if len(hit) != 1:
@@ -953,8 +971,7 @@ def _chk_bgralt(params):
         for p in weight_table(n).partitions():
             j = stats.bg_rank(p)
             r = residue_counts(p, 2)
-            core2 = cores.phi1(p, 2).core
-            n0 = phi2(core2, 2)[0]
+            n0 = _charges_and_bead_parts(p, 2)[0][0]
             if j != r[0] - r[1] or j != n0:
                 fail({"partition": list(p), "bg": j,
                       "residue_gap": r[0] - r[1], "charge": n0})

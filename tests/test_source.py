@@ -162,6 +162,16 @@ def test_one_way_to_count_core_classes():
     assert _names(path, {"iter_core_vectors"}) == []
 
 
+def test_checks_read_the_bead_split():
+    # the per-partition decomposition checks read the charges (the core's
+    # n-vector) and the bead readings (the quotient conjugated) off one bead
+    # split, so verify.py builds no CoreQuotient, and phi2 runs only in
+    # CHK-THM4's round trip of the cores that phi2_inv builds from vectors
+    path = next(path for path in SOURCES if path.name == "verify.py")
+    assert _names(path, {"phi1", "phi1_inv", "CoreQuotient"}) == []
+    assert _owners(path, _calls_named("phi2")) == ["verify._chk_thm4"]
+
+
 def _poch_product_calls(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)

@@ -6,8 +6,16 @@ import functools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tcorelab.cores import capital_phi, iter_core_vectors, phi1, phi2_inv
+from tcorelab.cores import (
+    _charges_and_bead_parts,
+    capital_phi,
+    iter_core_vectors,
+    phi1,
+    phi2,
+    phi2_inv,
+)
 from tcorelab.partitions import Partition, enumerate_partitions, residue_counts
 from tcorelab.stats import (
     ag_crank,
@@ -282,6 +290,29 @@ class TestChargeCubic:
             srank_charge_contribution(3, 1, 3)
 
 
+def srank_mod4_from_core_quotient(cq):
+    """srank mod 4 of phi1_inv(cq) from the core and quotient partitions: the
+    form decomposition_srank_mod4 had before it read the bead split, kept
+    as its oracle."""
+    t, core, quotient = cq
+    base = srank(core)
+    if t % 2 == 0:
+        a = 0 if t % 4 == 0 else 1
+        return (base + 2 * a * sum(q.weight for q in quotient)) % 4
+    a = 0 if t % 4 == 1 else 1
+    nvec = phi2(core, t)
+    total = base
+    for i, q in enumerate(quotient):
+        total += 2 * (nvec[i] + i + a) * q.weight + srank(q)
+    return total % 4
+
+
+def split_srank_data(p, t):
+    """decomposition_srank_mod4's arguments for p at t, from one bead split."""
+    charges, readings = _charges_and_bead_parts(p, t)
+    return t, charges, srank(phi2_inv(charges)), readings
+
+
 # every t to weight 30, and the 5-cores to CHK-AB5J4's default bound
 CORE_BOUNDS = [(t, 104 if t == 5 else 30) for t in range(2, 10)]
 
@@ -312,11 +343,26 @@ class TestClosedForms:
         for n in range(15):
             for p in enumerate_partitions(n):
                 for t in (2, 3, 4, 5):
-                    assert decomposition_srank_mod4(phi1(p, t)) == srank(p) % 4
+                    assert decomposition_srank_mod4(*split_srank_data(p, t)) == srank(p) % 4
 
     def test_empty_quotient_reduces_to_core(self):
         for t in (2, 3, 5):
             for nvec, _ in iter_core_vectors(t, 12):
                 core = phi2_inv(nvec)
-                cq = phi1(core, t)
-                assert decomposition_srank_mod4(cq) == srank(core) % 4
+                assert decomposition_srank_mod4(*split_srank_data(core, t)) == srank(core) % 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=partitions(), t=st.integers(2, 9))
+    def test_bead_split_matches_the_decomposition(self, p, t):
+        # the split's charges are the core's n-vector, phi2_inv rebuilds the
+        # core from them, and reading i is quotient component i conjugated;
+        # the formula on the split agrees with the srank and with its
+        # core-and-quotient form
+        cq = phi1(p, t)
+        charges, readings = _charges_and_bead_parts(p, t)
+        assert charges == phi2(cq.core, t)
+        assert phi2_inv(charges) == cq.core
+        assert readings == tuple(q.conjugate() for q in cq.quotient)
+        assert [srank(r) for r in readings] == [-srank(q) for q in cq.quotient]
+        found = decomposition_srank_mod4(t, charges, srank(cq.core), readings)
+        assert found == srank(p) % 4 == srank_mod4_from_core_quotient(cq)

@@ -130,6 +130,89 @@ def _key_level(images):
     return step
 
 
+def _srank_off_at(parts):
+    """stats.srank, 2 too high on the one partition with these parts."""
+    srank = stats.srank
+    return lambda p: srank(p) + 2 * (tuple(p) == parts)
+
+
+def _core_srank_off_at(vector):
+    """stats.core_srank_mod4, 2 too high on the 5-core with this n-vector."""
+    core_srank_mod4 = stats.core_srank_mod4
+    return lambda t, nvec: (core_srank_mod4(t, nvec) + 2 * (tuple(nvec) == vector)) % 4
+
+
+def _alpha_permuted(order):
+    """alpha_from_n with its coordinates taken in this order."""
+    alpha_from_n = cores.alpha_from_n
+    return lambda nvec: tuple(map(alpha_from_n(nvec).__getitem__, order))
+
+
+def _residue_gap_off_at(parts):
+    """residue_counts with one more residue-0 cell on this partition at t = 2."""
+    residue_counts = verify.residue_counts
+
+    def counts(p, t):
+        r = residue_counts(p, t)
+        return (r[0] + 1, *r[1:]) if t == 2 and tuple(p) == parts else r
+    return counts
+
+
+def _strips_dropped_at(parts, length):
+    """rim_hook_removals, with no strip of this length off this partition."""
+    removals = verify.rim_hook_removals
+    return lambda p, k: [] if (tuple(p), k) == (parts, length) else removals(p, k)
+
+
+def _heads_moved_down(length):
+    """rim_hook_removals with the head of every strip of this length one row
+    lower.  For length 6 that moves x + y by 1 but 2 * length * (x + y) and,
+    at t = 3, 2 * lam * (x + y) by 0 (mod 4), so only the head parity sees it."""
+    removals = verify.rim_hook_removals
+
+    def moved(p, k):
+        found = removals(p, k)
+        if k != length:
+            return found
+        return [r._replace(head=(r.head[0] + 1, r.head[1])) for r in found]
+    return moved
+
+
+# A patched function that both the core and quotient route and the bead
+# route of the per-partition decomposition checks read, the bounds, and the
+# witness, recorded when the checks built each core and quotient with phi1
+DECOMPOSITION_FAULTS = {
+    "srtq": ("CHK-SRTQ", {"max_n": 12}, stats, "srank", _srank_off_at((2,)),
+             {"t": 2, "partition": [2]}),
+    "elegant-core-cubic": (
+        "CHK-ELEGANT", {"max_n": 14}, stats, "core_srank_mod4",
+        _core_srank_off_at((1, 0, 0, 0, -1)),
+        {"route": "core-cubic", "partition": [1]}),
+    # (5) is no 5-core, so only the expansion reads its srank
+    "elegant-quotient-expansion": (
+        "CHK-ELEGANT", {"max_n": 14}, stats, "srank", _srank_off_at((5,)),
+        {"route": "quotient-expansion", "partition": [5]}),
+    "elegant-alpha-core": (
+        "CHK-ELEGANT", {"max_n": 14}, verify, "alpha_from_n", _alpha_permuted((1, 0, 2, 3, 4)),
+        {"route": "alpha-core", "partition": [6, 2, 1]}),
+    # a rotation keeps the cyclic sum of the core term, and moves the cross term
+    "elegant-alpha-expansion": (
+        "CHK-ELEGANT", {"max_n": 14}, verify, "alpha_from_n", _alpha_permuted((1, 2, 3, 4, 0)),
+        {"route": "alpha-expansion", "partition": [7, 2]}),
+    "bgralt": ("CHK-BGRALT", {"max_n": 14}, verify, "residue_counts", _residue_gap_off_at((2, 1)),
+               {"partition": [2, 1], "bg": -1, "residue_gap": 0, "charge": -1}),
+    "bgralt-srank-from-bg": (
+        "CHK-BGRALT", {"max_n": 14}, stats, "srank", _srank_off_at((2, 1)),
+        {"route": "srank-from-bg", "partition": [2, 1]}),
+    "strip-word-strip": (
+        "CHK-STRIP", {"max_n": 10}, verify, "rim_hook_removals", _strips_dropped_at((3,), 3),
+        {"route": "word-strip", "t": 3, "partition": [], "slot": 2}),
+    "strip-head-parity": (
+        "CHK-STRIP", {"max_n": 10}, verify, "rim_hook_removals", _heads_moved_down(6),
+        {"route": "head-parity", "t": 3, "partition": [], "slot": 0, "head": [2, 1]}),
+}
+
+
 class TestClassCounts:
     def test_table1_counts(self):
         # Table 1: St-crank mod 5 splits the 30 partitions of 9 into cells of
@@ -525,6 +608,13 @@ class TestRegistry:
             report = verify.run_check("CHK-ORBIT", max_n=14)
         finally:
             tables.clear_memo()
+        assert (report.status, report.witness) == ("fail", witness)
+
+    @pytest.mark.parametrize("fault", DECOMPOSITION_FAULTS)
+    def test_decomposition_fault_witnesses(self, fault, monkeypatch):
+        check_id, bounds, module, name, fake, witness = DECOMPOSITION_FAULTS[fault]
+        monkeypatch.setattr(module, name, fake)
+        report = verify.run_check(check_id, **bounds)
         assert (report.status, report.witness) == ("fail", witness)
 
     @pytest.mark.parametrize("statistic", ["st-crank", "srank", "ag-crank", "two-quotient-rank"])
